@@ -15,15 +15,29 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "src/core/experiment.h"
+#include "src/telemetry/export.h"
+#include "src/telemetry/telemetry.h"
 
 namespace themis {
 
 inline uint64_t FnvMix(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Plain FNV-1a over a byte string (the export goldens hash exporter output).
+inline uint64_t FnvBytes(std::string_view bytes) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
     h *= 0x100000001B3ULL;
   }
   return h;
@@ -100,6 +114,24 @@ inline uint64_t GoldenTraceHash(Scheme scheme, uint64_t seed, bool pfc = true) {
   h = FnvMix(h, result.all_done ? 1 : 0);
   h = FnvMix(h, static_cast<uint64_t>(result.tail_completion));
   return h;
+}
+
+// The canonical experiment with a default Telemetry bundle attached for the
+// whole run, exported: the Chrome-trace JSON followed by the counters CSV.
+// Without trace sites compiled in (THEMIS_TRACE=OFF) the JSON has no events.
+inline std::string ExportStream(Scheme scheme, uint64_t seed) {
+  Experiment exp(DeterminismConfig(scheme, seed));
+  Telemetry telemetry(&exp.sim());
+  exp.AttachTelemetry(&telemetry);
+  telemetry.StartSampling();
+  exp.RunCollective(CollectiveKind::kAllreduce, exp.MakeCrossRackGroups(2), 1 << 20,
+                    10 * kSecond);
+  telemetry.StopSampling();
+  telemetry.sampler().SampleNow();
+  std::ostringstream out;
+  WriteChromeTrace(telemetry.trace(), out, telemetry.MakeNodeNamer());
+  WriteCountersCsv(telemetry.sampler(), out);
+  return out.str();
 }
 
 // The golden chaos campaign: all four fault classes on the canonical 2x2x2

@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "src/core/experiment.h"
 #include "src/core/sweep_runner.h"
 #include "src/core/trace_digest.h"
-#include "src/telemetry/export.h"
 #include "src/telemetry/telemetry.h"
 
 namespace themis {
@@ -232,24 +230,36 @@ TEST(DeterminismTest, TelemetryAttachmentIsInvisibleInTraceHashes) {
   }
 }
 
-// The serialized trace-event stream (not just the sim-state digest) must be
-// byte-identical regardless of sweep parallelism.
-std::string TraceStream(Scheme scheme, uint64_t seed) {
-  Experiment exp(DeterminismConfig(scheme, seed));
-  Telemetry telemetry(&exp.sim());
-  exp.AttachTelemetry(&telemetry);
-  telemetry.StartSampling();
-  exp.RunCollective(CollectiveKind::kAllreduce, exp.MakeCrossRackGroups(2), 1 << 20,
-                    10 * kSecond);
-  telemetry.StopSampling();
-  telemetry.sampler().SampleNow();
-  std::ostringstream trace;
-  WriteChromeTrace(telemetry.trace(), trace, telemetry.MakeNodeNamer());
-  std::ostringstream counters;
-  WriteCountersCsv(telemetry.sampler(), counters);
-  return trace.str() + counters.str();
+// Export golden: FNV-1a over the exported bytes (Chrome trace + counters CSV,
+// ExportStream() in trace_digest.h). It pins every byte both exporters
+// write, so a rewrite of the sample store or the formatters must reproduce
+// the old files exactly. Regenerated by the regen-goldens target alongside
+// the main table (from a THEMIS_TRACE=ON build).
+struct ExportGolden {
+  Scheme scheme;
+  uint64_t seed;
+  uint64_t hash;
+};
+
+// EXPORT-GOLDEN-BEGIN
+const ExportGolden kExportGoldens[] = {
+    {Scheme::kThemis, 1, 0xF743C022D4190149ULL},
+    {Scheme::kRandomSpray, 1, 0xACEA77DD78810607ULL},
+};
+// EXPORT-GOLDEN-END
+
+TEST(DeterminismTest, ExportedBytesMatchPinnedGolden) {
+  if (!kTraceCompiledIn) {
+    GTEST_SKIP() << "built with THEMIS_TRACE=OFF; the trace export is empty";
+  }
+  for (const ExportGolden& g : kExportGoldens) {
+    EXPECT_EQ(FnvBytes(ExportStream(g.scheme, g.seed)), g.hash)
+        << SchemeName(g.scheme) << " seed=" << g.seed;
+  }
 }
 
+// The serialized trace-event stream (not just the sim-state digest) must be
+// byte-identical regardless of sweep parallelism.
 TEST(DeterminismTest, TraceStreamsIndependentOfThreadCount) {
   struct Point {
     Scheme scheme;
@@ -260,7 +270,7 @@ TEST(DeterminismTest, TraceStreamsIndependentOfThreadCount) {
       {Scheme::kRandomSpray, 1},
       {Scheme::kThemis, 2},
   };
-  auto run_point = [](const Point& p) { return TraceStream(p.scheme, p.seed); };
+  auto run_point = [](const Point& p) { return ExportStream(p.scheme, p.seed); };
   const auto serial = SweepRunner(1).Map(points, run_point);
   const auto parallel = SweepRunner(4).Map(points, run_point);
   ASSERT_EQ(serial.size(), points.size());

@@ -1,8 +1,8 @@
 // Prints the determinism golden table (tests/determinism_test.cc) for the
-// current engine, one C++ initializer row per line. tools/regen_goldens.py
-// splices the output between the GOLDEN-TABLE markers and shows the diff, so
-// behaviour-shifting PRs regenerate goldens mechanically instead of
-// hand-editing hex constants.
+// current engine, one C++ initializer row per line, followed by the scenario,
+// export and config-hash goldens. tools/regen_goldens.py splices each section
+// between its markers and shows the diff, so behaviour-shifting PRs
+// regenerate goldens mechanically instead of hand-editing hex constants.
 
 #include <cstdio>
 
@@ -31,6 +31,12 @@ constexpr const char* SchemeToken(Scheme scheme) {
 }
 
 int Main() {
+  if (!kTraceCompiledIn) {
+    // The export goldens pin the Chrome trace's events, which such a build
+    // never records.
+    std::fprintf(stderr, "golden_hashes: needs trace sites compiled in (THEMIS_TRACE=ON)\n");
+    return 1;
+  }
   // Keep this list in lockstep with the golden table's row set: the script
   // replaces the whole table with exactly these rows.
   struct Row {
@@ -65,6 +71,20 @@ int Main() {
   // markers) pins the chaos engine's full pipeline on the same fabric.
   std::printf("constexpr uint64_t kScenarioCampaignGolden = 0x%016llXULL;\n",
               static_cast<unsigned long long>(ScenarioCampaignHash()));
+  // Export goldens (EXPORT-GOLDEN markers): FNV-1a over both exporters'
+  // bytes for the canonical run with telemetry attached.
+  constexpr struct {
+    Scheme scheme;
+    uint64_t seed;
+  } kExportRows[] = {{Scheme::kThemis, 1}, {Scheme::kRandomSpray, 1}};
+  std::printf("const ExportGolden kExportGoldens[] = {\n");
+  for (const auto& row : kExportRows) {
+    std::printf("    {%s, %llu, 0x%016llXULL},\n", SchemeToken(row.scheme),
+                static_cast<unsigned long long>(row.seed),
+                static_cast<unsigned long long>(FnvBytes(ExportStream(row.scheme, row.seed))));
+    std::fflush(stdout);
+  }
+  std::printf("};\n");
   // Config-hash goldens (experiment_service_test.cc, CONFIG-HASH-GOLDEN
   // markers): pin the canonical serialization that keys sweep manifests,
   // shard journals, and resume.

@@ -3,7 +3,7 @@
 
 Runs the golden_hashes binary (which prints one C++ initializer row per
 golden point for the *current* engine), splices its output between the
-GOLDEN-TABLE-BEGIN/END and SCENARIO-GOLDEN markers in
+GOLDEN-TABLE-BEGIN/END, SCENARIO-GOLDEN and EXPORT-GOLDEN markers in
 tests/determinism_test.cc and — when --expsvc-test-file is given — between
 the CONFIG-HASH-GOLDEN markers in tests/experiment_service_test.cc, then
 prints a unified diff of what changed.  With --check, the files are left
@@ -29,6 +29,9 @@ END = "// GOLDEN-TABLE-END"
 SCN_BEGIN = "// SCENARIO-GOLDEN-BEGIN"
 SCN_END = "// SCENARIO-GOLDEN-END"
 SCN_LINE = "constexpr uint64_t kScenarioCampaignGolden"
+EXP_BEGIN = "// EXPORT-GOLDEN-BEGIN"
+EXP_END = "// EXPORT-GOLDEN-END"
+EXP_LINE = "const ExportGolden kExportGoldens"
 CFG_BEGIN = "// CONFIG-HASH-GOLDEN-BEGIN"
 CFG_END = "// CONFIG-HASH-GOLDEN-END"
 CFG_LINE = "const ConfigHashGolden kConfigHashGoldens"
@@ -45,15 +48,14 @@ def splice_between(text: str, begin_marker: str, end_marker: str,
     return head + replacement + tail
 
 
-def split_tool_output(output: str) -> tuple[str, str, str]:
+def split_tool_output(output: str) -> list[str]:
     # The tool prints the determinism golden table, then the
-    # scenario-campaign constant, then the config-hash golden table; split on
-    # the declaration lines.
-    scn_at = output.index(SCN_LINE)
-    cfg_at = output.index(CFG_LINE)
-    if cfg_at < scn_at:
+    # scenario-campaign constant, the export goldens and the config-hash
+    # golden table; split on the declaration lines.
+    cuts = [0] + [output.index(line) for line in (SCN_LINE, EXP_LINE, CFG_LINE)]
+    if cuts != sorted(cuts):
         raise SystemExit("golden_hashes output sections out of order")
-    return output[:scn_at], output[scn_at:cfg_at], output[cfg_at:]
+    return [output[a:b] for a, b in zip(cuts, cuts[1:] + [len(output)])]
 
 
 def regenerate(path: pathlib.Path, markers: list[tuple[str, str]],
@@ -97,15 +99,15 @@ def main() -> int:
                             text=True).stdout
     if not output.strip():
         raise SystemExit(f"{args.tool} produced no output")
-    if SCN_LINE not in output:
-        raise SystemExit(f"{args.tool}: no scenario golden in output")
-    if CFG_LINE not in output:
-        raise SystemExit(f"{args.tool}: no config-hash goldens in output")
-    rows, scn, cfg = split_tool_output(output)
+    for line, what in ((SCN_LINE, "scenario golden"), (EXP_LINE, "export goldens"),
+                       (CFG_LINE, "config-hash goldens")):
+        if line not in output:
+            raise SystemExit(f"{args.tool}: no {what} in output")
+    rows, scn, exp, cfg = split_tool_output(output)
 
     stale = regenerate(pathlib.Path(args.test_file),
-                       [(BEGIN, END), (SCN_BEGIN, SCN_END)],
-                       [rows, scn], args.check)
+                       [(BEGIN, END), (SCN_BEGIN, SCN_END), (EXP_BEGIN, EXP_END)],
+                       [rows, scn, exp], args.check)
     if args.expsvc_test_file:
         stale |= regenerate(pathlib.Path(args.expsvc_test_file),
                             [(CFG_BEGIN, CFG_END)], [cfg], args.check)
