@@ -289,6 +289,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(t.compensated_nacks));
   }
 
+  // A failed telemetry export makes the run exit non-zero once the
+  // remaining output is written.
+  int status = 0;
   if (telemetry != nullptr) {
     std::printf("telemetry:          %llu events recorded, %llu evicted\n",
                 static_cast<unsigned long long>(telemetry->trace().recorded()),
@@ -298,6 +301,7 @@ int main(int argc, char** argv) {
         std::printf("wrote trace to %s\n", opts.trace_path.c_str());
       } else {
         std::fprintf(stderr, "could not write %s\n", opts.trace_path.c_str());
+        status = 1;
       }
     }
     if (!opts.counters_path.empty()) {
@@ -305,6 +309,7 @@ int main(int argc, char** argv) {
         std::printf("wrote counters to %s\n", opts.counters_path.c_str());
       } else {
         std::fprintf(stderr, "could not write %s\n", opts.counters_path.c_str());
+        status = 1;
       }
     }
   }
@@ -325,5 +330,5 @@ int main(int argc, char** argv) {
         << exp.SprayBalanceIndex() << '\n';
     std::printf("appended row to %s\n", opts.csv_path.c_str());
   }
-  return 0;
+  return status;
 }

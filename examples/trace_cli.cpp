@@ -153,7 +153,12 @@ int main(int argc, char** argv) {
   std::printf("trace: %llu events recorded, %llu evicted (ring full)\n",
               static_cast<unsigned long long>(result.trace_events),
               static_cast<unsigned long long>(result.trace_overwritten));
-  std::printf("wrote %s (load at https://ui.perfetto.dev)\n", telemetry.trace_path.c_str());
-  std::printf("wrote %s\n", telemetry.counters_path.c_str());
-  return 0;
+  if (result.trace_written) {
+    std::printf("wrote %s (load at https://ui.perfetto.dev)\n", telemetry.trace_path.c_str());
+  }
+  if (result.counters_written) {
+    std::printf("wrote %s\n", telemetry.counters_path.c_str());
+  }
+  // RunFctWorkload already named any file it could not write on stderr.
+  return result.trace_written && result.counters_written ? 0 : 1;
 }

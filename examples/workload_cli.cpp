@@ -407,15 +407,26 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(f.victim_flows));
     }
   }
+  // A failed telemetry export (reported on stderr by RunFctWorkload) makes
+  // the run exit non-zero once the remaining output is written.
+  int status = 0;
   if (telemetry.enabled) {
     std::printf("telemetry:          %llu trace events recorded (%llu evicted by ring wrap)\n",
                 static_cast<unsigned long long>(result.trace_events),
                 static_cast<unsigned long long>(result.trace_overwritten));
     if (!opts.trace_path.empty()) {
-      std::printf("wrote Chrome trace to %s\n", opts.trace_path.c_str());
+      if (result.trace_written) {
+        std::printf("wrote Chrome trace to %s\n", opts.trace_path.c_str());
+      } else {
+        status = 1;
+      }
     }
     if (!opts.counters_path.empty()) {
-      std::printf("wrote counters CSV to %s\n", opts.counters_path.c_str());
+      if (result.counters_written) {
+        std::printf("wrote counters CSV to %s\n", opts.counters_path.c_str());
+      } else {
+        status = 1;
+      }
     }
   }
 
@@ -438,5 +449,5 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote per-flow CSV to %s\n", opts.csv_path.c_str());
   }
-  return 0;
+  return status;
 }

@@ -9,10 +9,18 @@
 // The CSV has one row per sample tick (`time_us` first column) and one
 // column per registered counter/gauge; ticks from before a late-registered
 // entry existed are zero-filled so every row has the full column set.
+//
+// Both exporters format into a local buffer with std::to_chars and hand the
+// stream large write() calls. Numbers are written exactly as printf would
+// in the C locale: times as "%.6f" microseconds, counter values as "%.6g",
+// ids and payload words as plain decimal. The *File variants report
+// failure when the file cannot be opened or a write (including the final
+// flush) fails.
 
 #ifndef THEMIS_SRC_TELEMETRY_EXPORT_H_
 #define THEMIS_SRC_TELEMETRY_EXPORT_H_
 
+#include <cstddef>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -33,6 +41,13 @@ bool WriteChromeTraceFile(const TraceSink& sink, const std::string& path,
 
 void WriteCountersCsv(const CounterSampler& sampler, std::ostream& out);
 bool WriteCountersCsvFile(const CounterSampler& sampler, const std::string& path);
+
+// The exporters' two number formats. Each writes at `first`, which needs
+// kMaxFormattedChars of room, and returns one past the last char written.
+// FormatMicros takes |micros| < 1e18, which covers every TimePs.
+inline constexpr size_t kMaxFormattedChars = 32;
+char* FormatCounterValue(char* first, double value);  // printf("%.6g", value)
+char* FormatMicros(char* first, double micros);       // printf("%.6f", micros)
 
 }  // namespace themis
 

@@ -1,15 +1,17 @@
-// Periodic snapshotting of a CounterRegistry into src/stats time series.
+// Periodic snapshotting of a CounterRegistry, one row per tick.
 //
 // A CounterSampler rides a PeriodicTimer: every `period` of simulation time
-// it reads every registered counter/gauge and appends one Sample to that
-// entry's TimeSeries. Sampling only *reads* model state — it schedules its
-// own timer events but never perturbs packets, the RNG, or component state,
-// so determinism hashes over model state are unchanged by attaching one.
+// it reads every registered counter/gauge, in registry order, into one
+// exactly sized row of doubles. A cell costs 8 bytes; the tick's time is
+// stored once, in sample_times(), not per cell. Sampling only *reads* model
+// state — it schedules its own timer events but never perturbs packets, the
+// RNG, or component state, so determinism hashes over model state are
+// unchanged by attaching one.
 //
 // Entries may be registered mid-run (per-flow counters appear when the flow
-// table provisions the flow); a late entry's series simply starts at the
-// next tick. The CSV exporter (export.h) aligns columns by timestamp and
-// zero-fills ticks from before an entry existed.
+// table provisions the flow). A row is as wide as the registry was at its
+// tick, so a late entry has no cell in the rows from before it existed; the
+// CSV exporter (export.h) zero-fills those.
 
 #ifndef THEMIS_SRC_TELEMETRY_SAMPLER_H_
 #define THEMIS_SRC_TELEMETRY_SAMPLER_H_
@@ -19,7 +21,6 @@
 
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
-#include "src/stats/time_series.h"
 #include "src/telemetry/counters.h"
 
 namespace themis {
@@ -40,15 +41,16 @@ class CounterSampler {
   // directly (e.g. once after the run for a final row).
   void SampleNow() {
     sample_times_.push_back(sim_->now());
-    series_.resize(registry_->size());  // pick up late registrants
-    for (size_t i = 0; i < registry_->size(); ++i) {
-      series_[i].Record(sim_->now(), registry_->Read(i));
+    std::vector<double>& row = rows_.emplace_back(registry_->size());
+    for (size_t i = 0; i < row.size(); ++i) {
+      row[i] = registry_->Read(i);
     }
   }
 
   const std::vector<TimePs>& sample_times() const { return sample_times_; }
-  size_t series_count() const { return series_.size(); }
-  const TimeSeries& series(size_t i) const { return series_[i]; }
+  // rows()[k] holds the values read at sample_times()[k], in registry order;
+  // its width is the registry size at that tick.
+  const std::vector<std::vector<double>>& rows() const { return rows_; }
   const CounterRegistry& registry() const { return *registry_; }
 
  private:
@@ -56,7 +58,7 @@ class CounterSampler {
   CounterRegistry* registry_;
   PeriodicTimer timer_;
   std::vector<TimePs> sample_times_;
-  std::vector<TimeSeries> series_;  // parallel to registry entries
+  std::vector<std::vector<double>> rows_;  // parallel to sample_times_
 };
 
 }  // namespace themis

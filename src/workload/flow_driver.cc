@@ -191,14 +191,19 @@ FctWorkloadResult RunFctWorkloadEx(const ExperimentConfig& exp_config,
     bundle->sampler().SampleNow();  // closing row at end-of-run state
     result.trace_events = bundle->trace().recorded();
     result.trace_overwritten = bundle->trace().overwritten();
-    if (!telemetry.trace_path.empty() && !bundle->WriteTrace(telemetry.trace_path)) {
-      std::fprintf(stderr, "RunFctWorkload: could not write %s\n",
-                   telemetry.trace_path.c_str());
+    if (!telemetry.trace_path.empty()) {
+      result.trace_written = bundle->WriteTrace(telemetry.trace_path);
+      if (!result.trace_written) {
+        std::fprintf(stderr, "RunFctWorkload: could not write %s\n",
+                     telemetry.trace_path.c_str());
+      }
     }
-    if (!telemetry.counters_path.empty() &&
-        !bundle->WriteCounters(telemetry.counters_path)) {
-      std::fprintf(stderr, "RunFctWorkload: could not write %s\n",
-                   telemetry.counters_path.c_str());
+    if (!telemetry.counters_path.empty()) {
+      result.counters_written = bundle->WriteCounters(telemetry.counters_path);
+      if (!result.counters_written) {
+        std::fprintf(stderr, "RunFctWorkload: could not write %s\n",
+                     telemetry.counters_path.c_str());
+      }
     }
   }
   return result;

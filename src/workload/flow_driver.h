@@ -61,6 +61,10 @@ struct FctWorkloadResult {
   // Telemetry run summary (zero unless FctTelemetryOptions::enabled).
   uint64_t trace_events = 0;
   uint64_t trace_overwritten = 0;
+  // Whether FctTelemetryOptions::trace_path / counters_path was written;
+  // false when the path is empty or the export failed.
+  bool trace_written = false;
+  bool counters_written = false;
 
   // Chaos campaign (empty unless ExperimentConfig::scenario is set): one
   // record per injected fault occurrence, with recovery-time endpoints,
