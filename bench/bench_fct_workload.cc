@@ -19,9 +19,8 @@
 //   THEMIS_SWEEP_THREADS  sweep parallelism; output is byte-identical for
 //                         any value (cases are pure functions of their
 //                         inputs, collected and printed in sweep order)
-//   THEMIS_SHARDS=N       shard mode: run slice THEMIS_SHARD_INDEX of the
-//                         grid into THEMIS_SHARD_DIR and exit (see
-//                         src/experiment_service/grids.h)
+//
+// To split the grid across machines, run it as `sweep_cli --grid=fct`.
 
 #include <cstdio>
 #include <cstdlib>
@@ -47,10 +46,6 @@ bool SmokeMode() {
 
 int FctMain() {
   const bool smoke = SmokeMode();
-  if (ShardEnvRequested()) {
-    return RunShardFromEnv(FctGridDef(smoke));
-  }
-
   const std::vector<FctCaseSpec> cases = FctGridCases(smoke);
   std::printf("bench_fct_workload: %zu cases (incast-heavy mix, %s scale)\n", cases.size(),
               smoke ? "smoke" : "full");

@@ -7,7 +7,7 @@
 
 #include "bench/fig5_common.h"
 
-int main(int argc, char** argv) {
-  return themis::benchutil::Fig5Main(argc, argv, themis::CollectiveKind::kAllreduce,
+int main() {
+  return themis::benchutil::Fig5Main(themis::CollectiveKind::kAllreduce,
                                      "Fig5a-Allreduce", /*default_mib=*/8);
 }

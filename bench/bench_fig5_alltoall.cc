@@ -6,7 +6,7 @@
 
 #include "bench/fig5_common.h"
 
-int main(int argc, char** argv) {
-  return themis::benchutil::Fig5Main(argc, argv, themis::CollectiveKind::kAlltoall,
+int main() {
+  return themis::benchutil::Fig5Main(themis::CollectiveKind::kAlltoall,
                                      "Fig5b-Alltoall", /*default_mib=*/8);
 }

@@ -14,8 +14,8 @@
 // 15 points are independent single-threaded simulations, so they run in
 // parallel on a SweepRunner pool (THEMIS_SWEEP_THREADS=1 forces the old
 // serial behaviour); results are collected and printed in sweep order
-// regardless of thread count. THEMIS_SHARDS=N switches the binary into
-// shard mode (see src/experiment_service/grids.h).
+// regardless of thread count. sweep_cli runs the same grids sharded
+// (--grid=fig5-allreduce / fig5-alltoall).
 
 #ifndef THEMIS_BENCH_FIG5_COMMON_H_
 #define THEMIS_BENCH_FIG5_COMMON_H_
@@ -26,20 +26,9 @@
 namespace themis {
 namespace benchutil {
 
-inline const char* Fig5GridName(CollectiveKind kind) {
-  return kind == CollectiveKind::kAllreduce ? "fig5-allreduce" : "fig5-alltoall";
-}
-
 // Runs the 15-case sweep for one collective on the thread pool.
-inline int Fig5Main(int argc, char** argv, CollectiveKind kind, const char* figure_name,
-                    uint64_t default_mib) {
-  (void)argc;
-  (void)argv;
+inline int Fig5Main(CollectiveKind kind, const char* figure_name, uint64_t default_mib) {
   const uint64_t bytes = SweepMessageBytes(default_mib);
-  if (ShardEnvRequested()) {
-    return RunShardFromEnv(Fig5GridDef(kind, bytes, Fig5GridName(kind), figure_name));
-  }
-
   const std::vector<Fig5CaseSpec> cases = Fig5GridCases(kind, bytes, figure_name);
 
   SweepRunner runner;

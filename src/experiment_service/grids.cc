@@ -1,13 +1,10 @@
 #include "src/experiment_service/grids.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include "src/core/sweep_runner.h"
 #include "src/experiment_service/config_hash.h"
-#include "src/experiment_service/shard_executor.h"
 #include "src/stats/report.h"
 
 namespace themis {
@@ -353,57 +350,6 @@ GridDef MakeBuiltinGrid(const std::string& name, std::string* error) {
     *error += ")";
   }
   return GridDef{};
-}
-
-bool ShardEnvRequested() {
-  const char* shards = std::getenv("THEMIS_SHARDS");
-  return shards != nullptr && *shards != '\0';
-}
-
-int RunShardFromEnv(const GridDef& grid) {
-  const auto env_int = [](const char* name, int fallback) {
-    const char* value = std::getenv(name);
-    return value != nullptr && *value != '\0' ? std::atoi(value) : fallback;
-  };
-  ShardOptions options;
-  options.shard_count = env_int("THEMIS_SHARDS", 1);
-  options.shard_index = env_int("THEMIS_SHARD_INDEX", 0);
-  if (const char* dir = std::getenv("THEMIS_SHARD_DIR"); dir != nullptr && *dir != '\0') {
-    options.dir = dir;
-  }
-  if (const char* resume = std::getenv("THEMIS_SHARD_RESUME")) {
-    options.resume = *resume == '1';
-  }
-
-  const SweepManifest manifest = GridManifest(grid);
-  std::string manifest_path = options.dir;
-  if (manifest_path.empty() || manifest_path.back() != '/') {
-    manifest_path.push_back('/');
-  }
-  manifest_path += grid.name + ".manifest";
-  std::string error;
-  if (!manifest.Write(manifest_path, &error)) {
-    std::fprintf(stderr, "sweep[%s]: %s\n", grid.name.c_str(), error.c_str());
-    return 1;
-  }
-
-  ShardExecutor executor(manifest, options);
-  const bool ok = executor.Run(
-      [&grid](const ManifestPoint& point) { return grid.cases[point.index].run(); }, &error);
-  const ShardStats& stats = executor.stats();
-  std::printf(
-      "sweep[%s]: shard %d/%d points_done=%llu points_skipped=%llu points_failed=%llu "
-      "wall_ms=%llu -> %s\n",
-      grid.name.c_str(), options.shard_index, options.shard_count,
-      static_cast<unsigned long long>(stats.points_done),
-      static_cast<unsigned long long>(stats.points_skipped),
-      static_cast<unsigned long long>(stats.points_failed),
-      static_cast<unsigned long long>(stats.shard_wall_ms), executor.CsvPath().c_str());
-  if (!ok) {
-    std::fprintf(stderr, "sweep[%s]: %s\n", grid.name.c_str(), error.c_str());
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace themis

@@ -136,17 +136,6 @@ std::vector<std::string> BuiltinGridNames();
 // -> the paper's 300 MB, THEMIS_BENCH_MB=<n> -> n MiB, else `default_mib`.
 uint64_t SweepMessageBytes(uint64_t default_mib);
 
-// Env-driven shard mode for the bench binaries and CI:
-//   THEMIS_SHARDS=<n>        enables shard mode (the bench runs one shard
-//                            and exits instead of its normal sweep)
-//   THEMIS_SHARD_INDEX=<i>   this shard (default 0)
-//   THEMIS_SHARD_DIR=<path>  artifact directory (default ".")
-//   THEMIS_SHARD_RESUME=1    journal replay before executing
-bool ShardEnvRequested();
-// Writes the manifest, runs the shard, prints the sweep.* summary line, and
-// returns a process exit code.
-int RunShardFromEnv(const GridDef& grid);
-
 }  // namespace themis
 
 #endif  // THEMIS_SRC_EXPERIMENT_SERVICE_GRIDS_H_
