@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "examples/config_flags.h"
 #include "src/experiment_service/grids.h"
 #include "src/experiment_service/merge.h"
 #include "src/experiment_service/shard_executor.h"
@@ -68,15 +69,6 @@ struct CliOptions {
   std::exit(code);
 }
 
-bool ParseValue(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 CliOptions Parse(int argc, char** argv) {
   CliOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -99,17 +91,17 @@ CliOptions Parse(int argc, char** argv) {
       opts.mode = Mode::kManifestOnly;
     } else if (std::strcmp(arg, "--counters") == 0) {
       opts.counters = true;
-    } else if (ParseValue(arg, "--grid", &value)) {
+    } else if (cli::FlagValue(arg, "--grid", &value)) {
       opts.grid = value;
-    } else if (ParseValue(arg, "--shards", &value)) {
-      opts.shards = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--shard-index", &value)) {
-      opts.shard_index = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--threads", &value)) {
-      opts.threads = std::atoi(value.c_str());
-    } else if (ParseValue(arg, "--dir", &value)) {
+    } else if (cli::FlagValue(arg, "--shards", &value)) {
+      opts.shards = cli::IntFlag<int>("--shards", value);
+    } else if (cli::FlagValue(arg, "--shard-index", &value)) {
+      opts.shard_index = cli::IntFlag<int>("--shard-index", value);
+    } else if (cli::FlagValue(arg, "--threads", &value)) {
+      opts.threads = cli::IntFlag<int>("--threads", value);
+    } else if (cli::FlagValue(arg, "--dir", &value)) {
       opts.dir = value;
-    } else if (ParseValue(arg, "--out", &value)) {
+    } else if (cli::FlagValue(arg, "--out", &value)) {
       opts.out = value;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n\n", arg);

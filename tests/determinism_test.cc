@@ -108,7 +108,7 @@ TEST(DeterminismTest, CalendarTierCarriesHotPathAndStaysInvisible) {
 }
 
 TEST(DeterminismTest, ScalarFallbackReproducesGoldens) {
-  // THEMIS_BURST=0 / --no-burst must be bit-identical to burst mode: the
+  // THEMIS_BURST=0 must be bit-identical to burst mode: the
   // burst drain batches same-tick runs, it never reorders. This pins the
   // whole pipeline — staged hooks, LB staging, fused tail — against the
   // scalar reference at full-system scale.

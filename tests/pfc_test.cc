@@ -437,7 +437,7 @@ TEST(PfcGraceRegressionTest, GraceWindowEliminatesSpuriousValidNacks) {
 
   // Post-fix: the grace window defers those NACKs and the original's
   // arrival cancels them. Acceptance: >= 80% of the spurious-valid share is
-  // gone (the --no-pfc baseline is zero, so this closes >= 80% of the gap).
+  // gone (the no-PFC baseline is zero, so this closes >= 80% of the gap).
   const FctWorkloadResult after = RunSpuriousValidWorkload(/*grace=*/true);
   ASSERT_EQ(after.flows_completed, after.flows_total);
   EXPECT_GT(after.themis.grace_deferred, 0u);
