@@ -93,11 +93,24 @@ struct ScenarioScript {
   bool empty() const { return events.empty(); }
 };
 
+// The most fault occurrences (the sum of every event's repeat) one script may
+// schedule; ScenarioEngine allocates two timers per occurrence.
+inline constexpr int64_t kMaxScenarioOccurrences = 1 << 16;
+
 // Parses scenario text. On failure returns false and (if non-null) fills
 // `error` with a "line N: reason" message; `out` is left in an unspecified
-// state. Validation here is syntactic + range checks only; target existence
-// is checked by ScenarioEngine::Attach against the real topology.
+// state. Validation here is syntactic + the ValidateScenario range checks;
+// target existence is checked by ScenarioEngine::Attach against the real
+// topology.
 bool ParseScenario(const std::string& text, ScenarioScript* out, std::string* error);
+
+// The range checks ParseScenario applies, for a script filled in field by
+// field (the config table's `--set scenario.*`): a positive sample period, a
+// target per event, non-negative times, windows, probabilities and factors in
+// range, repeat >= 1 (above 1 with a period), and at most
+// kMaxScenarioOccurrences occurrences in all. On failure fills `error` (if
+// non-null) with "scenario: reason" or "scenario.event<i>: reason".
+bool ValidateScenario(const ScenarioScript& script, std::string* error);
 
 // Reads and parses a scenario file.
 bool LoadScenarioFile(const std::string& path, ScenarioScript* out, std::string* error);

@@ -113,6 +113,45 @@ TEST(ScenarioScriptTest, ValidationRejectsMalformedEvents) {
                              &script, &error));
   // Times need a unit suffix.
   EXPECT_FALSE(ParseScenario("flap target=a at=100 down=1us\n", &script, &error));
+  // One script schedules at most kMaxScenarioOccurrences occurrences.
+  EXPECT_FALSE(ParseScenario("flap target=a at=1us down=1us repeat=40000 period=1us\n"
+                             "flap target=b at=1us down=1us repeat=40000 period=1us\n",
+                             &script, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+}
+
+// A script filled in field by field (the config table's --set scenario.*)
+// gets the parser's range checks through ValidateScenario.
+TEST(ScenarioScriptTest, ValidateScenarioAppliesTheParserChecks) {
+  std::string error;
+  for (const std::string& name : ScenarioPresetNames()) {
+    ScenarioScript preset;
+    ASSERT_TRUE(ScenarioPreset(name, &preset));
+    EXPECT_TRUE(ValidateScenario(preset, &error)) << name << ": " << error;
+  }
+  ScenarioScript script;
+  ASSERT_TRUE(ScenarioPreset("tor-uplink-flap", &script));
+  const ScenarioScript valid = script;
+
+  script.sample_period = 0;  // would rearm the recovery probe forever
+  EXPECT_FALSE(ValidateScenario(script, &error));
+  EXPECT_EQ(error.rfind("scenario: ", 0), 0u) << error;
+
+  script = valid;
+  script.events.emplace_back();  // no target: the engine could not resolve it
+  EXPECT_FALSE(ValidateScenario(script, &error));
+  EXPECT_EQ(error, "scenario.event1: missing target");
+
+  script = valid;
+  script.events[0].repeat = 2'000'000'000;  // would allocate 2e9 occurrences
+  EXPECT_FALSE(ValidateScenario(script, &error));
+  EXPECT_EQ(error.rfind("scenario.event0: ", 0), 0u) << error;
+  script.events[0].repeat = static_cast<int>(kMaxScenarioOccurrences);
+  EXPECT_TRUE(ValidateScenario(script, &error)) << error;
+
+  script = valid;
+  script.events[0].at = -1;
+  EXPECT_FALSE(ValidateScenario(script, &error));
 }
 
 TEST(ScenarioScriptTest, DownTimeDrawsAreSeededAndInRange) {
