@@ -155,6 +155,46 @@ inline ScenarioScript ScenarioCampaignScript() {
   return script;
 }
 
+// The fat-tree golden run: the canonical experiment on a k=4 fat-tree (16
+// hosts under edge, aggregation and core tiers), Themis-D spraying at the ToR
+// egress, and a 1 MB allreduce in each of the two cross-rack groups, which
+// span all four pods. The 2x2x2 goldens never route over more than two
+// candidates; this run pins the route tables of all three tiers. `flap` fails
+// the pod0-edge0:up0 link in both directions inside the allreduce, so the
+// failed-candidate filter runs at the edge and aggregation tiers too.
+inline ExperimentConfig FatTreeDeterminismConfig(bool flap) {
+  ExperimentConfig config = DeterminismConfig(Scheme::kThemis, 1);
+  config.fabric = FabricKind::kFatTree;
+  config.fat_tree_k = 4;
+  config.themis_spray_mode = SprayMode::kTorEgress;
+  if (flap) {
+    std::string error;
+    if (!ParseScenario("seed 7\nflap target=pod0-edge0:up0 at=30us down=50us\n",
+                       &config.scenario, &error)) {
+      std::fprintf(stderr, "fat-tree flap script failed to parse: %s\n", error.c_str());
+      std::abort();
+    }
+  }
+  return config;
+}
+
+// Digest of a fat-tree golden run: the experiment digest plus every switch's
+// forwarded and no-route counts, which move if any tier picks another egress.
+inline uint64_t FatTreeTraceHash(bool flap, bool burst = true) {
+  Experiment exp(FatTreeDeterminismConfig(flap));
+  exp.sim().set_burst_enabled(burst);
+  auto result = exp.RunCollective(CollectiveKind::kAllreduce, exp.MakeCrossRackGroups(2),
+                                  1 << 20, 10 * kSecond);
+  uint64_t h = DigestExperiment(exp);
+  h = FnvMix(h, result.all_done ? 1 : 0);
+  h = FnvMix(h, static_cast<uint64_t>(result.tail_completion));
+  for (const Switch* sw : exp.topology().switches) {
+    h = FnvMix(h, sw->stats().forwarded);
+    h = FnvMix(h, sw->stats().no_route_drops);
+  }
+  return h;
+}
+
 // Digest of a golden campaign run: the full experiment digest plus every
 // fault record's recovery arithmetic, so scheduling, gray RNG streams,
 // down-time draws, and the RecoveryTracker are all under the pin. The

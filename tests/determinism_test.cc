@@ -192,6 +192,34 @@ TEST(DeterminismTest, ScenarioCampaignReproducesPinnedGolden) {
   EXPECT_EQ(ScenarioCampaignHash(), kScenarioCampaignGolden);
 }
 
+// Fat-tree goldens: the k=4 run of FatTreeDeterminismConfig() in
+// trace_digest.h, without and with its pod0-edge0:up0 flap. They pin the
+// route tables and the failed-candidate filter at the edge, aggregation and
+// core tiers, which the 2x2x2 goldens never reach. Regenerated by the
+// regen-goldens target alongside the main table.
+struct FatTreeGolden {
+  bool flap;
+  uint64_t hash;
+};
+
+// FAT-TREE-GOLDEN-BEGIN
+const FatTreeGolden kFatTreeGoldens[] = {
+    {false, 0x6A19A0D5F7AC068FULL},
+    {true, 0x4EC0ECA0B16B2092ULL},
+};
+// FAT-TREE-GOLDEN-END
+
+TEST(DeterminismTest, FatTreeRunsReproducePinnedGoldens) {
+  for (const FatTreeGolden& g : kFatTreeGoldens) {
+    for (const bool burst : {true, false}) {
+      EXPECT_EQ(FatTreeTraceHash(g.flap, burst), g.hash)
+          << "flap=" << g.flap << " burst=" << burst;
+    }
+  }
+  // The flap is live: it changes the digest.
+  EXPECT_NE(kFatTreeGoldens[0].hash, kFatTreeGoldens[1].hash);
+}
+
 TEST(DeterminismTest, ScenarioCampaignActuallyPerturbsTheRun) {
   // Complement of the scenario-off golden: with a campaign injected the
   // digest must *differ* from the clean golden — faults are live, not no-ops.

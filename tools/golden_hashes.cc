@@ -1,6 +1,6 @@
 // Prints the determinism golden table (tests/determinism_test.cc) for the
 // current engine, one C++ initializer row per line, followed by the scenario,
-// export and config-hash goldens. tools/regen_goldens.py splices each section
+// fat-tree, export and config-hash goldens. tools/regen_goldens.py splices each section
 // between its markers and shows the diff, so behaviour-shifting PRs
 // regenerate goldens mechanically instead of hand-editing hex constants.
 
@@ -71,6 +71,15 @@ int Main() {
   // markers) pins the chaos engine's full pipeline on the same fabric.
   std::printf("constexpr uint64_t kScenarioCampaignGolden = 0x%016llXULL;\n",
               static_cast<unsigned long long>(ScenarioCampaignHash()));
+  // Fat-tree goldens (FAT-TREE-GOLDEN markers): the k=4 run without and with
+  // the edge-uplink flap.
+  std::printf("const FatTreeGolden kFatTreeGoldens[] = {\n");
+  for (const bool flap : {false, true}) {
+    std::printf("    {%s, 0x%016llXULL},\n", flap ? "true" : "false",
+                static_cast<unsigned long long>(FatTreeTraceHash(flap)));
+    std::fflush(stdout);
+  }
+  std::printf("};\n");
   // Export goldens (EXPORT-GOLDEN markers): FNV-1a over both exporters'
   // bytes for the canonical run with telemetry attached.
   constexpr struct {

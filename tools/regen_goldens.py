@@ -3,10 +3,10 @@
 
 Runs the golden_hashes binary (which prints one C++ initializer row per
 golden point for the *current* engine), splices its output between the
-GOLDEN-TABLE-BEGIN/END, SCENARIO-GOLDEN and EXPORT-GOLDEN markers in
-tests/determinism_test.cc and — when --expsvc-test-file is given — between
-the CONFIG-HASH-GOLDEN markers in tests/experiment_service_test.cc, then
-prints a unified diff of what changed.  With --check, the files are left
+GOLDEN-TABLE-BEGIN/END, SCENARIO-GOLDEN, FAT-TREE-GOLDEN and EXPORT-GOLDEN
+markers in tests/determinism_test.cc and — when --expsvc-test-file is given —
+between the CONFIG-HASH-GOLDEN markers in tests/experiment_service_test.cc,
+then prints a unified diff of what changed.  With --check, the files are left
 untouched and the script exits non-zero if any table is stale.
 
 Usual invocation is via the cmake target, from the repo root:
@@ -29,6 +29,9 @@ END = "// GOLDEN-TABLE-END"
 SCN_BEGIN = "// SCENARIO-GOLDEN-BEGIN"
 SCN_END = "// SCENARIO-GOLDEN-END"
 SCN_LINE = "constexpr uint64_t kScenarioCampaignGolden"
+FT_BEGIN = "// FAT-TREE-GOLDEN-BEGIN"
+FT_END = "// FAT-TREE-GOLDEN-END"
+FT_LINE = "const FatTreeGolden kFatTreeGoldens"
 EXP_BEGIN = "// EXPORT-GOLDEN-BEGIN"
 EXP_END = "// EXPORT-GOLDEN-END"
 EXP_LINE = "const ExportGolden kExportGoldens"
@@ -50,9 +53,10 @@ def splice_between(text: str, begin_marker: str, end_marker: str,
 
 def split_tool_output(output: str) -> list[str]:
     # The tool prints the determinism golden table, then the
-    # scenario-campaign constant, the export goldens and the config-hash
-    # golden table; split on the declaration lines.
-    cuts = [0] + [output.index(line) for line in (SCN_LINE, EXP_LINE, CFG_LINE)]
+    # scenario-campaign constant, the fat-tree goldens, the export goldens and
+    # the config-hash golden table; split on the declaration lines.
+    cuts = [0] + [output.index(line)
+                  for line in (SCN_LINE, FT_LINE, EXP_LINE, CFG_LINE)]
     if cuts != sorted(cuts):
         raise SystemExit("golden_hashes output sections out of order")
     return [output[a:b] for a, b in zip(cuts, cuts[1:] + [len(output)])]
@@ -99,15 +103,16 @@ def main() -> int:
                             text=True).stdout
     if not output.strip():
         raise SystemExit(f"{args.tool} produced no output")
-    for line, what in ((SCN_LINE, "scenario golden"), (EXP_LINE, "export goldens"),
-                       (CFG_LINE, "config-hash goldens")):
+    for line, what in ((SCN_LINE, "scenario golden"), (FT_LINE, "fat-tree goldens"),
+                       (EXP_LINE, "export goldens"), (CFG_LINE, "config-hash goldens")):
         if line not in output:
             raise SystemExit(f"{args.tool}: no {what} in output")
-    rows, scn, exp, cfg = split_tool_output(output)
+    rows, scn, ft, exp, cfg = split_tool_output(output)
 
     stale = regenerate(pathlib.Path(args.test_file),
-                       [(BEGIN, END), (SCN_BEGIN, SCN_END), (EXP_BEGIN, EXP_END)],
-                       [rows, scn, exp], args.check)
+                       [(BEGIN, END), (SCN_BEGIN, SCN_END), (FT_BEGIN, FT_END),
+                        (EXP_BEGIN, EXP_END)],
+                       [rows, scn, ft, exp], args.check)
     if args.expsvc_test_file:
         stale |= regenerate(pathlib.Path(args.expsvc_test_file),
                             [(CFG_BEGIN, CFG_END)], [cfg], args.check)
