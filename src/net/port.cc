@@ -102,12 +102,15 @@ void Port::SetPaused(bool paused) {
   if (paused && !paused_) {
     ++stats_.pause_transitions;
     pause_since_ = sim_->now();
-    pause_log_.Open(sim_->now());
+    if (pause_log_ == nullptr) {
+      pause_log_ = std::make_unique<PauseIntervalLog>();
+    }
+    pause_log_->Open(sim_->now());
     TracePort(sim_, PortTrace::kPauseOn, static_cast<uint16_t>(owner_->id()),
               static_cast<uint8_t>(index_), 0, static_cast<uint64_t>(stats_.paused_time_ps));
   } else if (!paused && paused_) {
     stats_.paused_time_ps += sim_->now() - pause_since_;
-    pause_log_.Close(sim_->now());
+    pause_log_->Close(sim_->now());  // allocated by the pause being closed
     TracePort(sim_, PortTrace::kPauseOff, static_cast<uint16_t>(owner_->id()),
               static_cast<uint8_t>(index_), 0, static_cast<uint64_t>(stats_.paused_time_ps));
   }

@@ -10,6 +10,7 @@
 #define THEMIS_SRC_NET_PORT_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "src/net/ecn.h"
 #include "src/net/node.h"
@@ -180,11 +181,12 @@ class Port {
   }
 
   // Per-interval pause history (beyond the aggregate paused_time_ps): which
-  // pause intervals overlapped a given window. Feeds the Themis-D grace
-  // window and the PFC conformance tests.
-  const PauseIntervalLog& pause_log() const { return pause_log_; }
-  TimePs PausedOverlapPs(TimePs from, TimePs to) const {
-    return pause_log_.OverlapPs(from, to, sim_->now());
+  // pause intervals overlapped a given window. Feeds the PFC conformance
+  // tests. Empty until the port first pauses, which allocates the log: most
+  // ports of a large fabric never pause.
+  const PauseIntervalLog& pause_log() const {
+    static const PauseIntervalLog kNeverPaused;
+    return pause_log_ != nullptr ? *pause_log_ : kNeverPaused;
   }
 
  private:
@@ -220,7 +222,7 @@ class Port {
   bool failed_ = false;
   bool paused_ = false;
   TimePs pause_since_ = 0;  // valid while paused_
-  PauseIntervalLog pause_log_;
+  std::unique_ptr<PauseIntervalLog> pause_log_;  // null until the first pause
   // Freelist-backed FIFOs (see packet_queue.h): the per-packet fast path
   // recycles queue nodes through the simulator-wide arena instead of
   // round-tripping the allocator.

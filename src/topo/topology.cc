@@ -26,6 +26,7 @@ void BuildEqualCostRoutes(Topology& topo) {
   }
 
   std::vector<int> dist(static_cast<size_t>(n));
+  std::vector<int> ports;  // one switch's candidate ports, reused throughout
   for (Node* host : topo.hosts) {
     // BFS from the destination host over the whole graph.
     std::fill(dist.begin(), dist.end(), kUnreached);
@@ -56,13 +57,13 @@ void BuildEqualCostRoutes(Topology& topo) {
       if (d == kUnreached) {
         continue;
       }
-      std::vector<int> ports;
+      ports.clear();
       for (const Edge& e : adj[static_cast<size_t>(sw->id())]) {
         if (dist[static_cast<size_t>(e.neighbor)] == d - 1) {
           ports.push_back(e.port);
         }
       }
-      sw->SetRoute(host->id(), std::move(ports));
+      sw->SetRoute(host->id(), ports);
     }
   }
 }
