@@ -197,6 +197,9 @@ bool ScenarioEngine::Attach(Topology& topo, ThemisDeployment* themis,
   topo_ = &topo;
   themis_ = themis;
   hosts_ = hosts;
+  if (!ValidateScenario(script_, error)) {
+    return false;
+  }
 
   for (size_t e = 0; e < script_.events.size(); ++e) {
     const ScenarioEvent& event = script_.events[e];

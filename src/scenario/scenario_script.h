@@ -97,6 +97,11 @@ struct ScenarioScript {
 // schedule; ScenarioEngine allocates two timers per occurrence.
 inline constexpr int64_t kMaxScenarioOccurrences = 1 << 16;
 
+// The latest time a fault may clear: one simulated hour, far beyond any run
+// and far below the int64 limit, so the engine's timer arithmetic cannot
+// overflow.
+inline constexpr TimePs kMaxScenarioTime = 3600 * kSecond;
+
 // Parses scenario text. On failure returns false and (if non-null) fills
 // `error` with a "line N: reason" message; `out` is left in an unspecified
 // state. Validation here is syntactic + the ValidateScenario range checks;
@@ -107,9 +112,10 @@ bool ParseScenario(const std::string& text, ScenarioScript* out, std::string* er
 // The range checks ParseScenario applies, for a script filled in field by
 // field (the config table's `--set scenario.*`): a positive sample period, a
 // target per event, non-negative times, windows, probabilities and factors in
-// range, repeat >= 1 (above 1 with a period), and at most
-// kMaxScenarioOccurrences occurrences in all. On failure fills `error` (if
-// non-null) with "scenario: reason" or "scenario.event<i>: reason".
+// range, repeat >= 1 (above 1 with a period), at most
+// kMaxScenarioOccurrences occurrences in all, and every occurrence cleared by
+// kMaxScenarioTime even at its longest down-time. On failure fills `error`
+// (if non-null) with "scenario: reason" or "scenario.event<i>: reason".
 bool ValidateScenario(const ScenarioScript& script, std::string* error);
 
 // Reads and parses a scenario file.
