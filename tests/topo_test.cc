@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "src/topo/fat_tree.h"
 #include "src/topo/leaf_spine.h"
@@ -194,6 +196,38 @@ TEST(SwitchTest, AllUplinksFailedDropsWithStat) {
   EXPECT_EQ(tor0->stats().no_route_drops, 1u);
 }
 
+TEST(SwitchTest, FailedUplinkSkippedAmongMoreThan64Candidates) {
+  // 80 equal-cost uplinks, one failed: Forward once filtered the live ones
+  // into a 64-entry array and read past it. Scalar mode filters in Forward,
+  // burst mode (both hosts of tor0 send at once, so deliveries coincide) in
+  // StageEgress; neither may send on the failed port.
+  for (const bool burst : {true, false}) {
+    LeafSpineHarness h(2, 80, 2);
+    h.sim.set_burst_enabled(burst);
+    InstallTorLoadBalancer(h.topo, LbKind::kPsnSpray);
+    Switch* tor0 = h.topo.tors[0];
+    const auto candidates = tor0->RouteCandidates(h.hosts[2]->id());
+    ASSERT_EQ(candidates.size(), 80u);
+    Port* failed = candidates[70];
+    failed->set_failed(true);
+    for (uint32_t psn = 0; psn < 160; ++psn) {
+      for (const size_t s : {0, 1}) {
+        StubHost* src = h.hosts[s];
+        src->port(0)->Send(MakeDataPacket(static_cast<uint32_t>(s + 1), src->id(),
+                                          h.hosts[s + 2]->id(), psn, 1000, 0x1234));
+      }
+    }
+    h.sim.Run();
+    EXPECT_EQ(failed->stats().tx_packets, 0u) << "burst=" << burst;
+    EXPECT_EQ(failed->stats().drops, 0u) << "burst=" << burst;
+    EXPECT_EQ(tor0->stats().no_route_drops, 0u) << "burst=" << burst;
+    EXPECT_EQ(h.hosts[2]->received.size() + h.hosts[3]->received.size(), 320u);
+    if (burst) {
+      EXPECT_GT(h.sim.burst_stats().burst_events, h.sim.burst_stats().bursts);
+    }
+  }
+}
+
 TEST(SwitchTest, NoRouteDropCounted) {
   Simulator sim;
   Network net(&sim);
@@ -313,6 +347,18 @@ TEST(FatTreeTest, AllPairsReachable) {
   }
 }
 
+TEST(FatTreeTest, K16SwitchesInternTheirRouteSets) {
+  // 1024 destinations per switch, a handful of distinct candidate sets: an
+  // edge or aggregation switch has one set per downlink plus its uplinks,
+  // a core one per pod.
+  FatTreeHarness h(16);
+  ASSERT_EQ(h.topo.hosts.size(), 1024u);
+  for (Switch* sw : h.topo.switches) {
+    const size_t want = sw->name().rfind("core", 0) == 0 ? 16u : 9u;
+    EXPECT_EQ(sw->route_set_count(), want) << sw->name();
+  }
+}
+
 TEST(FatTreeTest, K8Scales) {
   FatTreeHarness h(8);
   EXPECT_EQ(h.topo.hosts.size(), 128u);
@@ -322,6 +368,87 @@ TEST(FatTreeTest, K8Scales) {
       MakeDataPacket(1, h.hosts[0]->id(), h.hosts[127]->id(), 0, 100, 0x42));
   h.sim.Run();
   EXPECT_EQ(h.hosts[127]->received.size(), 1u);
+}
+
+// --- Route tables against a BFS reference ------------------------------------
+
+// Hop distance from every node to `dst`; hosts other than `dst` do not
+// forward. Unreached nodes stay at -1.
+std::vector<int> HopsTo(const Network& net, const Node* dst) {
+  std::vector<int> hops(static_cast<size_t>(net.node_count()), -1);
+  std::vector<const Node*> frontier = {dst};
+  hops[static_cast<size_t>(dst->id())] = 0;
+  while (!frontier.empty()) {
+    std::vector<const Node*> next;
+    for (const Node* node : frontier) {
+      if (node != dst && node->kind() == NodeKind::kHost) {
+        continue;
+      }
+      for (int p = 0; p < node->port_count(); ++p) {
+        const Port* port = node->port(p);
+        if (!port->connected()) {
+          continue;
+        }
+        int& peer_hops = hops[static_cast<size_t>(port->peer()->id())];
+        if (peer_hops < 0) {
+          peer_hops = hops[static_cast<size_t>(node->id())] + 1;
+          next.push_back(port->peer());
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return hops;
+}
+
+// For every (switch, host): the candidates are exactly the ports towards a
+// node one hop closer, in port order, and the last hop is a non-empty set
+// of host-facing ports.
+void ExpectRoutesMatchBfs(const Network& net, const Topology& topo) {
+  for (const Node* host : topo.hosts) {
+    const std::vector<int> hops = HopsTo(net, host);
+    for (const Switch* sw : topo.switches) {
+      const int d = hops[static_cast<size_t>(sw->id())];
+      ASSERT_GT(d, 0) << sw->name();
+      std::vector<const Port*> want;
+      bool last_hop = true;
+      for (int p = 0; p < sw->port_count(); ++p) {
+        const Port* port = sw->port(p);
+        if (port->connected() && hops[static_cast<size_t>(port->peer()->id())] == d - 1) {
+          want.push_back(port);
+          last_hop = last_hop && port->peer()->kind() == NodeKind::kHost;
+        }
+      }
+      const auto got = sw->RouteCandidates(host->id());
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << sw->name() << " -> " << host->name();
+      EXPECT_EQ(sw->IsLastHop(host->id()), !want.empty() && last_hop)
+          << sw->name() << " -> " << host->name();
+    }
+  }
+}
+
+TEST(RouteTableTest, LeafSpineMatchesBfsReference) {
+  for (const int n : {2, 16}) {
+    LeafSpineHarness h(n, n, n);
+    ExpectRoutesMatchBfs(h.net, h.topo);
+  }
+}
+
+TEST(RouteTableTest, FatTreeMatchesBfsReference) {
+  for (const int k : {4, 8}) {
+    FatTreeHarness h(k);
+    ExpectRoutesMatchBfs(h.net, h.topo);
+  }
+}
+
+TEST(RouteTableTest, UnroutedDestinationHasNoCandidates) {
+  LeafSpineHarness h(2, 2, 2);
+  Switch* tor0 = h.topo.tors[0];
+  for (const int dst : {-1, tor0->id(), 1 << 20}) {
+    EXPECT_TRUE(tor0->RouteCandidates(dst).empty()) << dst;
+    EXPECT_FALSE(tor0->IsLastHop(dst)) << dst;
+  }
 }
 
 }  // namespace
