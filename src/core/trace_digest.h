@@ -156,17 +156,19 @@ inline ScenarioScript ScenarioCampaignScript() {
 }
 
 // The fat-tree golden run: the canonical experiment on a k=4 fat-tree (16
-// hosts under edge, aggregation and core tiers), Themis-D spraying at the ToR
-// egress, and a 1 MB allreduce in each of the two cross-rack groups, which
-// span all four pods. The 2x2x2 goldens never route over more than two
-// candidates; this run pins the route tables of all three tiers. `flap` fails
-// the pod0-edge0:up0 link in both directions inside the allreduce, so the
+// hosts under edge, aggregation and core tiers), Themis spraying in
+// `spray_mode`, and a 1 MB allreduce in each of the two cross-rack groups,
+// which span all four pods. The 2x2x2 goldens never route over more than two
+// candidates; this run pins the route tables of all three tiers. kTorEgress
+// sprays by the ToR's PSN-spray policy; kSportRewrite runs Themis-S, the one
+// hook that rewrites packets, ahead of ECMP at every tier. `flap` fails the
+// pod0-edge0:up0 link in both directions inside the allreduce, so the
 // failed-candidate filter runs at the edge and aggregation tiers too.
-inline ExperimentConfig FatTreeDeterminismConfig(bool flap) {
+inline ExperimentConfig FatTreeDeterminismConfig(SprayMode spray_mode, bool flap) {
   ExperimentConfig config = DeterminismConfig(Scheme::kThemis, 1);
   config.fabric = FabricKind::kFatTree;
   config.fat_tree_k = 4;
-  config.themis_spray_mode = SprayMode::kTorEgress;
+  config.themis_spray_mode = spray_mode;
   if (flap) {
     std::string error;
     if (!ParseScenario("seed 7\nflap target=pod0-edge0:up0 at=30us down=50us\n",
@@ -180,8 +182,8 @@ inline ExperimentConfig FatTreeDeterminismConfig(bool flap) {
 
 // Digest of a fat-tree golden run: the experiment digest plus every switch's
 // forwarded and no-route counts, which move if any tier picks another egress.
-inline uint64_t FatTreeTraceHash(bool flap, bool burst = true) {
-  Experiment exp(FatTreeDeterminismConfig(flap));
+inline uint64_t FatTreeTraceHash(SprayMode spray_mode, bool flap, bool burst = true) {
+  Experiment exp(FatTreeDeterminismConfig(spray_mode, flap));
   exp.sim().set_burst_enabled(burst);
   auto result = exp.RunCollective(CollectiveKind::kAllreduce, exp.MakeCrossRackGroups(2),
                                   1 << 20, 10 * kSecond);

@@ -71,13 +71,18 @@ int Main() {
   // markers) pins the chaos engine's full pipeline on the same fabric.
   std::printf("constexpr uint64_t kScenarioCampaignGolden = 0x%016llXULL;\n",
               static_cast<unsigned long long>(ScenarioCampaignHash()));
-  // Fat-tree goldens (FAT-TREE-GOLDEN markers): the k=4 run without and with
-  // the edge-uplink flap.
+  // Fat-tree goldens (FAT-TREE-GOLDEN markers): the k=4 run in each spray
+  // mode, without and with the edge-uplink flap.
   std::printf("const FatTreeGolden kFatTreeGoldens[] = {\n");
-  for (const bool flap : {false, true}) {
-    std::printf("    {%s, 0x%016llXULL},\n", flap ? "true" : "false",
-                static_cast<unsigned long long>(FatTreeTraceHash(flap)));
-    std::fflush(stdout);
+  for (const SprayMode mode : {SprayMode::kTorEgress, SprayMode::kSportRewrite}) {
+    for (const bool flap : {false, true}) {
+      std::printf("    {%s, %s, 0x%016llXULL},\n",
+                  mode == SprayMode::kTorEgress ? "SprayMode::kTorEgress"
+                                                : "SprayMode::kSportRewrite",
+                  flap ? "true" : "false",
+                  static_cast<unsigned long long>(FatTreeTraceHash(mode, flap)));
+      std::fflush(stdout);
+    }
   }
   std::printf("};\n");
   // Export goldens (EXPORT-GOLDEN markers): FNV-1a over both exporters'
