@@ -18,6 +18,8 @@
 
 namespace themis {
 
+class PacketBurst;  // never defined; see LoadBalancer::SelectBurst
+
 struct LbContext {
   uint32_t switch_salt = 0;   // per-switch perturbation XORed into the hash
   uint32_t hash_shift = 0;    // bit-slice of the hash this tier consults
@@ -35,27 +37,13 @@ class LoadBalancer {
   virtual size_t Select(const Packet& pkt, std::span<Port* const> candidates,
                         const LbContext& ctx) = 0;
 
-  // True iff Select is a pure function of the packet and ctx — no RNG draws,
-  // no reads of mutable network state (queue depths), no policy state whose
-  // update order could diverge from packet order. Only then may the switch
-  // hoist the whole burst's selections ahead of the per-packet send loop
-  // without perturbing the RNG draw / event seq sequence the golden traces
-  // pin down (DESIGN.md "Burst pipeline"). Policies that draw RNG in Select
-  // (RandomSprayLb, FlowletLb on flowlet expiry) or read queue depths
-  // (AdaptiveRoutingLb) must return false.
+  // Kept only because perfbench/perfbench.cc's TimedLb overrides these two
+  // declarations: nothing in src/ calls them, and every switch selects per
+  // packet through Select.
   virtual bool burst_stageable() const { return false; }
-
-  // Batch entry point: fills choices[k] with the selection for packet
-  // burst.packet(idx[k]) among candidates[k]. The default loops Select; a
-  // stageable policy overrides with a tight, devirtualized loop. Called once
-  // per burst instead of once per packet.
-  virtual void SelectBurst(PacketBurst& burst, const uint32_t* idx,
-                           const std::span<Port* const>* candidates, size_t n,
-                           const LbContext& ctx, uint32_t* choices) {
-    for (size_t k = 0; k < n; ++k) {
-      choices[k] = static_cast<uint32_t>(Select(burst.packet(idx[k]), candidates[k], ctx));
-    }
-  }
+  virtual void SelectBurst(PacketBurst& /*burst*/, const uint32_t* /*idx*/,
+                           const std::span<Port* const>* /*candidates*/, size_t /*n*/,
+                           const LbContext& /*ctx*/, uint32_t* /*choices*/) {}
 };
 
 enum class LbKind : uint8_t {

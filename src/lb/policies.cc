@@ -1,7 +1,5 @@
 #include "src/lb/policies.h"
 
-#include <vector>
-
 namespace themis {
 
 size_t AdaptiveRoutingLb::Select(const Packet& pkt, std::span<Port* const> candidates,
@@ -41,22 +39,6 @@ size_t FlowletLb::Select(const Packet& pkt, std::span<Port* const> candidates,
   }
   state.last_packet = ctx.now;
   return state.port_index;
-}
-
-void PsnSprayLb::SelectBurst(PacketBurst& burst, const uint32_t* idx,
-                             const std::span<Port* const>* candidates, size_t n,
-                             const LbContext& ctx, uint32_t* choices) {
-  // Same arithmetic as Select, but the PSN comes from the SoA column and the
-  // hash reads the post-hook packet (Themis-S may have rewritten udp_sport,
-  // which is part of the ECMP tuple — the AoS packet is authoritative).
-  const uint32_t* psn = burst.psn_data();
-  for (size_t k = 0; k < n; ++k) {
-    const uint32_t cands = static_cast<uint32_t>(candidates[k].size());
-    const uint32_t base = EcmpBucket(
-        (EcmpHash(TupleFromPacket(burst.packet(idx[k]))) ^ ctx.switch_salt) >> ctx.hash_shift,
-        cands);
-    choices[k] = ((psn[idx[k]] % cands) + base) % cands;
-  }
 }
 
 std::unique_ptr<LoadBalancer> MakeLoadBalancer(LbKind kind, const LbParams& params) {

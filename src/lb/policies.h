@@ -16,8 +16,8 @@ namespace themis {
 // Flow-level ECMP: hash the 5-tuple once, same path for the flow's lifetime.
 class EcmpLb : public LoadBalancer {
  public:
-  // The whole policy as a static pure function, so the switch's control-plane
-  // path and the burst pipeline can call it without virtual dispatch.
+  // The whole policy as a static pure function; PsnSprayLb takes its P_base
+  // from it.
   static size_t Pick(const Packet& pkt, size_t n_candidates, const LbContext& ctx) {
     const uint32_t hash = (EcmpHash(TupleFromPacket(pkt)) ^ ctx.switch_salt) >> ctx.hash_shift;
     return EcmpBucket(hash, static_cast<uint32_t>(n_candidates));
@@ -27,15 +27,6 @@ class EcmpLb : public LoadBalancer {
   size_t Select(const Packet& pkt, std::span<Port* const> candidates,
                 const LbContext& ctx) override {
     return Pick(pkt, candidates.size(), ctx);
-  }
-  bool burst_stageable() const override { return true; }
-  void SelectBurst(PacketBurst& burst, const uint32_t* idx,
-                   const std::span<Port* const>* candidates, size_t n,
-                   const LbContext& ctx, uint32_t* choices) override {
-    for (size_t k = 0; k < n; ++k) {
-      choices[k] = static_cast<uint32_t>(
-          Pick(burst.packet(idx[k]), candidates[k].size(), ctx));
-    }
   }
 };
 
@@ -98,17 +89,9 @@ class PsnSprayLb : public LoadBalancer {
   size_t Select(const Packet& pkt, std::span<Port* const> candidates,
                 const LbContext& ctx) override {
     const uint32_t n = static_cast<uint32_t>(candidates.size());
-    const uint32_t base = EcmpBucket(
-        (EcmpHash(TupleFromPacket(pkt)) ^ ctx.switch_salt) >> ctx.hash_shift, n);
+    const uint32_t base = static_cast<uint32_t>(EcmpLb::Pick(pkt, n, ctx));
     return static_cast<size_t>(((pkt.psn % n) + base) % n);
   }
-  // Pure hash of immutable packet fields: legal to hoist ahead of the
-  // per-packet send loop. (RandomSprayLb and FlowletLb draw RNG in Select,
-  // AdaptiveRoutingLb reads live queue depths — all three stay per-packet.)
-  bool burst_stageable() const override { return true; }
-  void SelectBurst(PacketBurst& burst, const uint32_t* idx,
-                   const std::span<Port* const>* candidates, size_t n,
-                   const LbContext& ctx, uint32_t* choices) override;
 };
 
 struct LbParams {

@@ -7,15 +7,6 @@ namespace themis {
 
 Node::~Node() = default;
 
-void Node::ReceiveBurst(PacketBurst& burst) {
-  const size_t n = burst.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (!burst.consumed(i)) {
-      ReceivePacket(burst.packet(i), burst.in_port(i));
-    }
-  }
-}
-
 PacketArena* Node::packet_arena() {
   if (packet_arena_ == nullptr) {
     owned_arena_ = std::make_unique<PacketArena>();

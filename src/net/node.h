@@ -15,7 +15,6 @@
 namespace themis {
 
 class PacketArena;
-class PacketBurst;
 class Port;
 
 enum class NodeKind : uint8_t { kHost, kSwitch };
@@ -31,11 +30,6 @@ class Node {
 
   // Delivery of a fully received packet on ingress port `in_port`.
   virtual void ReceivePacket(const Packet& pkt, int in_port) = 0;
-
-  // Delivery of a same-tick burst of packets (burst mode; see DESIGN.md
-  // "Burst pipeline"). The default loops ReceivePacket per entry in order, so
-  // overriding is purely an optimization — Switch stages the pipeline.
-  virtual void ReceiveBurst(PacketBurst& burst);
 
   // Called by an owned egress port when a data packet leaves its queue for
   // the wire (releases shared-buffer credit; drives PFC resume).

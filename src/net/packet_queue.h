@@ -17,108 +17,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "src/net/packet.h"
 
 namespace themis {
-
-class Port;
-
-// Flat SoA staging area for one delivery burst (DESIGN.md "Burst pipeline").
-// The dispatcher gathers the same-tick in-flight packets bound for one node
-// into parallel columns — PSN, flow id, wire size, flags — plus the full
-// packets, so each pipeline stage (hook rewrite, LB selection, Themis table
-// update) loops over dense arrays instead of chasing queue nodes. One burst
-// is active per arena at a time (the executive dispatches bursts only from
-// the run loop, never re-entrantly).
-//
-// Column coherence contract: psn/flow_id/wire_bytes and the type bits of
-// flags are immutable for a packet's lifetime, so the columns stay valid no
-// matter what a stage does to the full packet. Mutable fields (udp_sport,
-// ecn_ce, ...) are authoritative only in packet(i); the consumed bit is
-// authoritative only in the flags column (via Consume()).
-class PacketBurst {
- public:
-  static constexpr uint8_t kFlagTypeMask = 0x0F;  // PacketType in the low bits
-  static constexpr uint8_t kFlagCorrupt = 0x20;   // wire-corrupted (gray failure)
-  static constexpr uint8_t kFlagControl = 0x40;
-  static constexpr uint8_t kFlagConsumed = 0x80;
-
-  size_t size() const { return pkts_.size(); }
-  bool empty() const { return pkts_.empty(); }
-
-  void Clear() {
-    pkts_.clear();
-    psn_.clear();
-    flow_id_.clear();
-    wire_bytes_.clear();
-    flags_.clear();
-    in_port_.clear();
-  }
-
-  void Append(const Packet& pkt, int in_port) {
-    pkts_.push_back(pkt);
-    psn_.push_back(pkt.psn);
-    flow_id_.push_back(pkt.flow_id);
-    wire_bytes_.push_back(pkt.wire_bytes);
-    flags_.push_back(static_cast<uint8_t>(static_cast<uint8_t>(pkt.type) & kFlagTypeMask) |
-                     (pkt.IsControl() ? kFlagControl : uint8_t{0}) |
-                     (pkt.corrupted ? kFlagCorrupt : uint8_t{0}));
-    in_port_.push_back(static_cast<int32_t>(in_port));
-  }
-
-  Packet& packet(size_t i) { return pkts_[i]; }
-  const Packet& packet(size_t i) const { return pkts_[i]; }
-  int in_port(size_t i) const { return static_cast<int>(in_port_[i]); }
-
-  // SoA columns for stage loops.
-  const uint32_t* psn_data() const { return psn_.data(); }
-  const uint32_t* flow_id_data() const { return flow_id_.data(); }
-  const uint32_t* wire_bytes_data() const { return wire_bytes_.data(); }
-  const uint8_t* flags_data() const { return flags_.data(); }
-
-  bool is_control(size_t i) const { return (flags_[i] & kFlagControl) != 0; }
-  bool is_data(size_t i) const { return (flags_[i] & kFlagTypeMask) == 0; }
-  bool is_corrupt(size_t i) const { return (flags_[i] & kFlagCorrupt) != 0; }
-  bool consumed(size_t i) const { return (flags_[i] & kFlagConsumed) != 0; }
-  void Consume(size_t i) { flags_[i] |= kFlagConsumed; }
-
-  void PrefetchPacket(size_t i) const {
-    if (i < pkts_.size()) {
-      __builtin_prefetch(&pkts_[i]);
-    }
-  }
-
-  // Nesting guard: the dispatcher brackets gather+receive with Begin/EndUse;
-  // a re-entrant burst on the same arena is a bug, not a supported mode.
-  bool active() const { return active_; }
-  void BeginUse() {
-    assert(!active_ && "re-entrant burst on one arena");
-    active_ = true;
-    Clear();
-  }
-  void EndUse() { active_ = false; }
-
-  // Scratch columns for the switch pipeline's staged egress selection (valid
-  // only within one Switch::ReceiveBurst; see switch.cc). Living here keeps
-  // the allocations warm per arena instead of per switch.
-  std::vector<Port*> egress;                       // chosen egress per packet
-  std::vector<Port*> live_pool;                    // failure-filtered candidate storage
-  std::vector<uint32_t> lb_idx;                    // burst indices of staged data packets
-  std::vector<std::span<Port* const>> lb_cands;    // candidates per staged data packet
-  std::vector<uint32_t> lb_choice;                 // policy output per staged data packet
-
- private:
-  std::vector<Packet> pkts_;
-  std::vector<uint32_t> psn_;
-  std::vector<uint32_t> flow_id_;
-  std::vector<uint32_t> wire_bytes_;
-  std::vector<uint8_t> flags_;
-  std::vector<int32_t> in_port_;
-  bool active_ = false;
-};
 
 class PacketArena {
  public:
@@ -157,11 +60,6 @@ class PacketArena {
   size_t recycled_allocations() const { return recycled_; }
   size_t slab_count() const { return slabs_.size(); }
 
-  // The arena-wide burst staging area. Per-arena (not global) so concurrent
-  // SweepRunner simulations never share columns, matching the queue-node
-  // isolation contract above.
-  PacketBurst& burst_staging() { return burst_; }
-
  private:
   static constexpr size_t kSlabNodes = 256;
 
@@ -170,7 +68,6 @@ class PacketArena {
   size_t next_in_slab_ = kSlabNodes;  // forces the first slab on first Alloc
   size_t fresh_ = 0;
   size_t recycled_ = 0;
-  PacketBurst burst_;
 };
 
 // FIFO of packets drawing nodes from a PacketArena. The arena must outlive
@@ -218,14 +115,6 @@ class PacketQueue {
     }
     arena_->Free(node);
     --size_;
-  }
-
-  // Warms the head packet's cache line ahead of a gather loop touching many
-  // queues (burst dispatch prefetches queue k+1 while copying queue k).
-  void PrefetchFront() const {
-    if (head_ != nullptr) {
-      __builtin_prefetch(&head_->pkt);
-    }
   }
 
   void clear() {

@@ -75,9 +75,8 @@ void Port::set_failed(bool failed) {
 }
 
 // Wire-level gray failure: one uniform draw per delivered packet decides
-// lost / corrupted / clean. Shared by the scalar and burst delivery paths so
-// both consume the identical RNG sequence. Returns false when the packet is
-// lost on the wire.
+// lost / corrupted / clean. Returns false when the packet is lost on the
+// wire.
 bool Port::ApplyGrayFault(Packet& pkt) {
   const double u = gray_->rng.NextDouble();
   if (u < gray_->drop_prob) {
@@ -174,8 +173,8 @@ void Port::StartNextTransmission() {
 
   // Wire frees up after serialization completes. Both events below are the
   // per-packet hot path: tagged, callback-free calendar entries that
-  // Port::DispatchBurst decodes — and, when several fire on one tick, drains
-  // as a single burst through the staged pipeline.
+  // Port::DispatchBurst decodes — when several fire on one tick, the
+  // executive hands them over as one run.
   sim_->SchedulePortEvent(serialization, MakeTag(this, kPortTagTxDone));
 
   // Peer sees the packet after serialization + propagation, unless the link
@@ -207,73 +206,19 @@ void Port::DeliverHeadInFlight() {
   peer_->ReceivePacket(pkt, peer_port_);
 }
 
-void Port::GatherHeadInFlight(PacketBurst& burst) {
-  Packet pkt = in_flight_.front();
-  in_flight_.pop_front();
-  if (failed_) {
-    ++stats_.drops;
-    stats_.drop_bytes += pkt.wire_bytes;
-    TracePort(sim_, PortTrace::kDrop, static_cast<uint16_t>(owner_->id()),
-              static_cast<uint8_t>(index_), pkt.flow_id, pkt.wire_bytes,
-              static_cast<uint64_t>(queued_data_bytes_));
-    THEMIS_LOG(LogLevel::kDebug, sim_->now(), "%s port %d: in-flight drop %s",
-               owner_->name().c_str(), index_, pkt.ToString().c_str());
-    return;
-  }
-  if (gray_ != nullptr && !ApplyGrayFault(pkt)) {
-    return;
-  }
-  burst.Append(pkt, peer_port_);
-}
-
 size_t Port::DispatchBurst(Simulator& sim, const uint64_t* tags, size_t n) {
   static_assert(alignof(Port) >= kPortTagKindMask + 1,
                 "port pointers must leave the tag-kind bits free");
-  size_t i = 0;
-  while (i < n) {
+  for (size_t i = 0; i < n; ++i) {
     if (sim.stop_requested()) {
       return i;  // executive restores the tail with original (time, seq)
     }
     Port* port = PortFromTag(tags[i]);
     if (TagKind(tags[i]) == kPortTagTxDone) {
       port->StartNextTransmission();
-      ++i;
-      continue;
-    }
-    // Delivery. Hosts have a single upstream link, so per-host same-tick
-    // multi-delivery runs cannot form; keeping them scalar also guarantees
-    // Stop() fired by a host-side completion is honored before the next
-    // event (determinism vs. the scalar path).
-    Node* peer = port->peer_;
-    if (peer->kind() != NodeKind::kSwitch) {
+    } else {
       port->DeliverHeadInFlight();
-      ++i;
-      continue;
     }
-    // Extend the run over consecutive deliveries into the same switch.
-    size_t j = i + 1;
-    while (j < n && TagKind(tags[j]) == kPortTagDeliver &&
-           PortFromTag(tags[j])->peer_ == peer) {
-      ++j;
-    }
-    if (j - i == 1) {
-      port->DeliverHeadInFlight();
-      i = j;
-      continue;
-    }
-    PacketBurst& burst = peer->packet_arena()->burst_staging();
-    burst.BeginUse();
-    for (size_t k = i; k < j; ++k) {
-      if (k + 1 < j) {
-        PortFromTag(tags[k + 1])->in_flight_.PrefetchFront();
-      }
-      PortFromTag(tags[k])->GatherHeadInFlight(burst);
-    }
-    if (!burst.empty()) {
-      peer->ReceiveBurst(burst);
-    }
-    burst.EndUse();
-    i = j;
   }
   return n;
 }

@@ -26,8 +26,8 @@ namespace themis {
 // independently dropped or corrupted at a low rate. The state is owned by the
 // ScenarioEngine and attached to a Port for the fault window; the RNG is a
 // private per-port stream (MixSeed-derived), so draws never touch the
-// simulator RNG and the outcome is identical in burst and scalar mode and
-// across sweep thread counts.
+// simulator RNG and the outcome is the same with the same-tick drain on or
+// off and across sweep thread counts.
 struct GrayFault {
   Rng rng;
   double drop_prob = 0.0;
@@ -52,8 +52,8 @@ struct PortStats {
   TimePs paused_time_ps = 0;  // closed pause intervals only; see PausedTimePs()
 };
 
-// Tagged line-rate events (burst mode): a port event is fully described by
-// the port pointer plus a kind in the pointer's low alignment bits, so the
+// Tagged line-rate events: a port event is fully described by the port
+// pointer plus a kind in the pointer's low alignment bits, so the
 // serialization/delivery chain schedules raw uint64 tags instead of
 // callbacks. Port::DispatchBurst decodes them.
 inline constexpr uint64_t kPortTagTxDone = 0;   // wire freed: start next transmission
@@ -87,10 +87,9 @@ class Port {
     sim_->SetLineRateDispatcher(&Port::DispatchBurst);
   }
 
-  // Decodes and executes a run of tagged port events in order. Consecutive
-  // deliveries bound for the same switch are gathered into the peer arena's
-  // PacketBurst and handed to one ReceiveBurst call; everything else (tx-done
-  // chain, host deliveries, singleton runs) executes scalar. Checks
+  // Decodes and executes a same-tick run of tagged port events one at a
+  // time, in order: a tx-done starts the next transmission, a delivery hands
+  // the head in-flight packet to the peer's ReceivePacket. Checks
   // sim.stop_requested() between events and returns how many completed — the
   // executive re-queues the rest. Registered by ConnectTo.
   static size_t DispatchBurst(Simulator& sim, const uint64_t* tags, size_t n);
@@ -200,13 +199,10 @@ class Port {
 
   void StartNextTransmission();
   // Gray-failure draw for one delivered packet (drop / corrupt-in-place /
-  // clean); shared by the scalar and burst delivery paths. Call only with
-  // gray_ attached. Returns false when the packet is lost on the wire.
+  // clean). Call only with gray_ attached. Returns false when the packet is
+  // lost on the wire.
   bool ApplyGrayFault(Packet& pkt);
   void DeliverHeadInFlight();
-  // Pops the head in-flight packet into `burst` (or drop-accounts it on a
-  // failed link, like DeliverHeadInFlight). The burst gather path.
-  void GatherHeadInFlight(PacketBurst& burst);
 
   Simulator* sim_;
   Node* owner_;

@@ -28,11 +28,9 @@ std::unique_ptr<ThemisDeployment> ThemisDeployment::Install(
     return src->second != dst->second;
   };
 
-  // Themis-S registers ahead of Themis-D. Observably equivalent either way —
-  // on any one packet at most one of the two acts (S: non-last-hop data from
-  // a local host; D: last-hop data and host-emitted control) — but with S
-  // first the ToR's burst pipeline can run the sport rewrite as a whole-burst
-  // stage prefix and pre-stage LB selection (see Switch::ReceiveBurst).
+  // Themis-S registers ahead of Themis-D. The order is not observable: on
+  // any one packet at most one of the two acts (S: non-last-hop data from a
+  // local host; D: last-hop data and host-emitted control).
   if (config.spray_mode == SprayMode::kSportRewrite) {
     std::vector<EcmpStage> stages = config.ecmp_stages;
     if (stages.empty()) {

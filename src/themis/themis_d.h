@@ -124,13 +124,6 @@ class ThemisD : public SwitchHook {
 
   bool OnIngress(Switch& sw, Packet& pkt, int in_port) override;
 
-  // Must run per packet at its registered position (it schedules events via
-  // compensated-NACK Forwards, whose seq allocation order the goldens pin
-  // down), but never mutates packets, consumes only control packets, and
-  // never fails ports or edits routes — so pre-staged egress choices for the
-  // burst's data packets stay valid.
-  IngressBurstClass burst_class() const override { return IngressBurstClass::kPerPacket; }
-
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 

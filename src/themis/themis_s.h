@@ -43,32 +43,6 @@ class ThemisS : public SwitchHook {
     return true;
   }
 
-  // Pure per-packet sport rewrite — no RNG, no events, no cross-packet
-  // state — so the switch may run it as one whole-burst stage.
-  IngressBurstClass burst_class() const override { return IngressBurstClass::kStageable; }
-
-  void OnIngressBurst(Switch& sw, PacketBurst& burst) override {
-    if (!enabled_) {
-      return;
-    }
-    const size_t n = burst.size();
-    const uint8_t* flags = burst.flags_data();
-    const uint32_t* psn = burst.psn_data();
-    const uint32_t paths = static_cast<uint32_t>(path_map_.path_count());
-    for (size_t i = 0; i < n; ++i) {
-      // kData is type 0: one mask test covers "data and not consumed".
-      if ((flags[i] & (PacketBurst::kFlagTypeMask | PacketBurst::kFlagConsumed)) != 0) {
-        continue;
-      }
-      Packet& pkt = burst.packet(i);
-      if (!sw.IsHostPort(burst.in_port(i)) || sw.IsLastHop(pkt.dst_host)) {
-        continue;
-      }
-      pkt.udp_sport ^= path_map_.DeltaFor(psn[i] % paths);
-      ++stats_.rewrites;
-    }
-  }
-
   // Failure fallback (Section 6): disabling the rewrite reverts the fabric
   // to plain per-flow ECMP.
   void set_enabled(bool enabled) { enabled_ = enabled; }

@@ -14,15 +14,6 @@ bool AnyFailed(std::span<Port* const> ports) {
 
 }  // namespace
 
-void SwitchHook::OnIngressBurst(Switch& sw, PacketBurst& burst) {
-  const size_t n = burst.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (!burst.consumed(i) && !OnIngress(sw, burst.packet(i), burst.in_port(i))) {
-      burst.Consume(i);
-    }
-  }
-}
-
 void Switch::ReceivePacket(const Packet& pkt, int in_port) {
   // Ingress CRC check: a wire-corrupted packet (gray failure) is counted and
   // dropped before any match-action stage sees it, as real switch MACs do.
@@ -63,10 +54,6 @@ void Switch::Forward(const Packet& pkt) {
                 .rng = &sim()->rng()};
   LoadBalancer* lb = pkt.IsControl() ? &control_lb_ : data_lb_.get();
   const size_t choice = lb->Select(pkt, candidates, ctx);
-  SendResolved(pkt, candidates[choice]);
-}
-
-void Switch::SendResolved(const Packet& pkt, Port* egress) {
   ++stats_.forwarded;
   // Charge shared-buffer credit BEFORE handing to the egress: an idle port
   // transmits synchronously, and the dequeue callback releases the credit.
@@ -74,169 +61,9 @@ void Switch::SendResolved(const Packet& pkt, Port* egress) {
   if (track) {
     ChargeIngress(pkt.sim_ingress, pkt.wire_bytes);
   }
-  const bool accepted = egress->Send(pkt);
+  const bool accepted = candidates[choice]->Send(pkt);
   if (track && !accepted) {
     ReleaseIngress(pkt.sim_ingress, pkt.wire_bytes);
-  }
-}
-
-void Switch::RefreshHookClasses() {
-  hook_stage_prefix_ = 0;
-  any_generic_hook_ = false;
-  tail_all_per_packet_ = true;
-  bool in_prefix = true;
-  for (SwitchHook* hook : hooks_) {
-    const SwitchHook::IngressBurstClass cls = hook->burst_class();
-    if (cls == SwitchHook::IngressBurstClass::kGeneric) {
-      any_generic_hook_ = true;
-    }
-    if (in_prefix && cls == SwitchHook::IngressBurstClass::kStageable) {
-      ++hook_stage_prefix_;
-    } else {
-      in_prefix = false;
-      // A stageable (i.e. packet-mutating rewrite) hook stranded in the tail
-      // still runs per packet — but it may rewrite LB-relevant fields after
-      // StageEgress consumed them, so it forbids LB staging just like a
-      // generic hook would.
-      if (cls != SwitchHook::IngressBurstClass::kPerPacket) {
-        tail_all_per_packet_ = false;
-      }
-    }
-  }
-}
-
-void Switch::StageEgress(PacketBurst& burst, const LbContext& ctx) {
-  const size_t n = burst.size();
-  burst.egress.assign(n, nullptr);
-  burst.lb_idx.clear();
-  burst.lb_cands.clear();
-  burst.live_pool.clear();
-  // Reserve the worst case up front: spans handed to SelectBurst point into
-  // live_pool, so it must never reallocate mid-stage.
-  size_t pool_cap = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!burst.consumed(i)) {
-      pool_cap += RouteCandidates(burst.packet(i).dst_host).size();
-    }
-  }
-  burst.live_pool.reserve(pool_cap);
-
-  for (size_t i = 0; i < n; ++i) {
-    if (burst.consumed(i)) {
-      continue;
-    }
-    Packet& pkt = burst.packet(i);
-    std::span<Port* const> candidates = RouteCandidates(pkt.dst_host);
-    if (candidates.empty()) {
-      continue;  // egress stays null → counted as a no-route drop in order
-    }
-    if (AnyFailed(candidates)) {
-      // Hooks audited for burst mode never fail ports, so the filtered set
-      // is valid for the whole burst.
-      const size_t start = burst.live_pool.size();
-      for (Port* port : candidates) {
-        if (!port->failed()) {
-          burst.live_pool.push_back(port);
-        }
-      }
-      if (burst.live_pool.size() == start) {
-        continue;  // all candidates failed → null egress, no-route drop
-      }
-      candidates = std::span<Port* const>(burst.live_pool.data() + start,
-                                          burst.live_pool.size() - start);
-    }
-    if (burst.is_control(i)) {
-      // Control traffic always follows plain ECMP: pick inline, devirtualized.
-      burst.egress[i] = candidates[EcmpLb::Pick(pkt, candidates.size(), ctx)];
-    } else {
-      burst.lb_idx.push_back(static_cast<uint32_t>(i));
-      burst.lb_cands.push_back(candidates);
-    }
-  }
-
-  const size_t staged = burst.lb_idx.size();
-  if (staged > 0) {
-    burst.lb_choice.resize(staged);
-    data_lb_->SelectBurst(burst, burst.lb_idx.data(), burst.lb_cands.data(), staged,
-                          ctx, burst.lb_choice.data());
-    for (size_t k = 0; k < staged; ++k) {
-      burst.egress[burst.lb_idx[k]] = burst.lb_cands[k][burst.lb_choice[k]];
-    }
-  }
-}
-
-void Switch::ReceiveBurst(PacketBurst& burst) {
-  // Any unaudited hook → replay the exact scalar path for the whole burst.
-  if (any_generic_hook_) {
-    Node::ReceiveBurst(burst);
-    return;
-  }
-  const size_t n = burst.size();
-  // Re-home buffer attribution once for the whole burst (scalar does this
-  // per packet before the hooks run). The ingress CRC pre-pass consumes
-  // wire-corrupted packets (gray failure) before any hook stage, mirroring
-  // the scalar path's drop-before-hooks position; stage 3 tells these apart
-  // from hook consumption via the corrupt flag column.
-  for (size_t i = 0; i < n; ++i) {
-    burst.packet(i).sim_ingress = burst.in_port(i);
-    if (burst.is_corrupt(i)) {
-      ++stats_.corrupt_drops;
-      burst.Consume(i);
-    }
-  }
-  // Stage 1: the stageable hook prefix runs as whole-burst column loops.
-  // Legal because stageable hooks are pure per-packet rewrites — hoisting
-  // hook(h, pkt_i) ahead of hook(h', pkt_j) for a later h' changes nothing
-  // any packet observes.
-  for (size_t h = 0; h < hook_stage_prefix_; ++h) {
-    hooks_[h]->OnIngressBurst(*this, burst);
-  }
-  // Stage 2: pre-select egress ports when the data policy is a pure function
-  // of the (post-prefix) packet AND every tail hook is kPerPacket — audited
-  // to never invalidate these choices.
-  const bool staged_lb = tail_all_per_packet_ && data_lb_->burst_stageable();
-  LbContext ctx{.switch_salt = ecmp_salt_,
-                .hash_shift = hash_shift_,
-                .now = sim()->now(),
-                .rng = &sim()->rng()};
-  if (staged_lb) {
-    StageEgress(burst, ctx);
-  }
-  // Stage 3: fused per-packet loop — tail hooks at their registered position,
-  // then PFC charge + send, in strict packet order (RNG draws and event-seq
-  // allocations happen here, exactly as the scalar path interleaves them).
-  for (size_t i = 0; i < n; ++i) {
-    if (burst.consumed(i)) {
-      // CRC pre-pass drops were already counted as corrupt_drops, not hook
-      // consumption (scalar parity: hooks never see corrupted packets).
-      if (!burst.is_corrupt(i)) {
-        ++stats_.consumed_by_hook;
-      }
-      continue;
-    }
-    burst.PrefetchPacket(i + 1);
-    Packet& pkt = burst.packet(i);
-    bool consumed = false;
-    for (size_t h = hook_stage_prefix_; h < hooks_.size(); ++h) {
-      if (!hooks_[h]->OnIngress(*this, pkt, burst.in_port(i))) {
-        consumed = true;
-        break;
-      }
-    }
-    if (consumed) {
-      ++stats_.consumed_by_hook;
-      continue;
-    }
-    if (staged_lb) {
-      Port* egress = burst.egress[i];
-      if (egress == nullptr) {
-        ++stats_.no_route_drops;
-        continue;
-      }
-      SendResolved(pkt, egress);
-    } else {
-      Forward(pkt);
-    }
   }
 }
 

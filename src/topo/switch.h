@@ -30,31 +30,8 @@ class Switch;
 // the UDP source port).
 class SwitchHook {
  public:
-  // How a hook participates in the burst pipeline (DESIGN.md "Burst
-  // pipeline"). The contract is about observable determinism: burst mode must
-  // replay the scalar RNG-draw and event-seq sequence bit-exactly.
-  enum class IngressBurstClass : uint8_t {
-    // Unaudited: the switch processes the whole burst through the exact
-    // scalar per-packet path. Safe default for external hooks.
-    kGeneric,
-    // Pure per-packet rewrite — no RNG draws, no event scheduling, no
-    // cross-packet or cross-hook mutable state. May run as one whole-burst
-    // stage hoisted ahead of later hooks (Themis-S sport rewrite).
-    kStageable,
-    // Must run per packet at its registered position (may schedule events or
-    // keep per-flow state, e.g. Themis-D), but audited to never invalidate a
-    // pre-staged egress choice: does not mutate LB-relevant packet fields,
-    // fail ports, or edit routes.
-    kPerPacket,
-  };
-
   virtual ~SwitchHook() = default;
   virtual bool OnIngress(Switch& sw, Packet& pkt, int in_port) = 0;
-  virtual IngressBurstClass burst_class() const { return IngressBurstClass::kGeneric; }
-  // Whole-burst stage used for kStageable hooks in the leading stage prefix.
-  // Default loops OnIngress in order, marking consumed packets in the flags
-  // column; stageable hooks override with a tight column loop.
-  virtual void OnIngressBurst(Switch& sw, PacketBurst& burst);
 };
 
 struct SwitchStats {
@@ -84,12 +61,6 @@ class Switch : public Node {
       : Node(sim, id, NodeKind::kSwitch, std::move(name)) {}
 
   void ReceivePacket(const Packet& pkt, int in_port) override;
-  // Staged burst pipeline: stageable hook prefix as whole-burst stages →
-  // egress pre-selection for stageable LB policies → fused per-packet loop
-  // (tail hooks, PFC charge, send). Falls back to the exact scalar path when
-  // any registered hook is unaudited (kGeneric). Fires only in burst mode;
-  // scalar mode never builds bursts.
-  void ReceiveBurst(PacketBurst& burst) override;
   void OnDataPacketDequeued(const Packet& pkt) override;
 
   // Forwards `pkt` according to routing + LB, bypassing ingress hooks. Used
@@ -158,10 +129,7 @@ class Switch : public Node {
            host_port_[static_cast<size_t>(port_index)];
   }
 
-  void AddHook(SwitchHook* hook) {
-    hooks_.push_back(hook);
-    RefreshHookClasses();
-  }
+  void AddHook(SwitchHook* hook) { hooks_.push_back(hook); }
 
   const SwitchStats& stats() const { return stats_; }
 
@@ -171,17 +139,6 @@ class Switch : public Node {
   void ChargeIngress(int in_port, int64_t bytes);
   void ReleaseIngress(int in_port, int64_t bytes);
   void SendPfcFrame(int in_port, bool pause);
-
-  // Recomputes the hook classification cache (stage prefix length, generic
-  // fallback flag) consulted by ReceiveBurst. Called from AddHook.
-  void RefreshHookClasses();
-  // Pre-selects the egress port for every live packet of the burst into
-  // burst.egress (null = no-route drop). Control packets use inline ECMP;
-  // data packets go through one LoadBalancer::SelectBurst call.
-  void StageEgress(PacketBurst& burst, const LbContext& ctx);
-  // The tail of Forward once the egress is chosen: forwarded accounting, PFC
-  // charge-before-send, release on rejection.
-  void SendResolved(const Packet& pkt, Port* egress);
 
   // One distinct candidate set. Set 0 is the empty set: destinations without
   // a route map to it, so a lookup never branches on "no entry".
@@ -204,14 +161,6 @@ class Switch : public Node {
   std::unique_ptr<LoadBalancer> data_lb_ = std::make_unique<EcmpLb>();
   EcmpLb control_lb_;
   std::vector<SwitchHook*> hooks_;
-  // Hook classification cache (RefreshHookClasses): number of leading
-  // kStageable hooks runnable as whole-burst stages, whether any hook is
-  // unaudited (forces the scalar fallback for the whole burst), and whether
-  // every post-prefix hook is kPerPacket (gates LB staging: a mutating
-  // rewrite hook stranded in the tail would invalidate staged choices).
-  size_t hook_stage_prefix_ = 0;
-  bool any_generic_hook_ = false;
-  bool tail_all_per_packet_ = true;
   uint32_t ecmp_salt_ = 0;
   uint32_t hash_shift_ = 0;
   PfcConfig pfc_;

@@ -439,107 +439,6 @@ TEST(PacketQueueTest, NetworksDoNotShareArenas) {
   EXPECT_EQ(net_b.packet_arena().fresh_allocations(), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// PacketBurst SoA staging (the burst pipeline's gather buffer).
-
-TEST(PacketBurstTest, ColumnsMirrorAppendedPackets) {
-  PacketArena arena;
-  PacketBurst& burst = arena.burst_staging();
-  burst.BeginUse();
-  burst.Append(MakeDataPacket(7, 0, 1, 42, 1000, 0), 3);
-  burst.Append(MakeControlPacket(PacketType::kNack, 9, 1, 0, 42, 0), 5);
-  ASSERT_EQ(burst.size(), 2u);
-  EXPECT_EQ(burst.psn_data()[0], 42u);
-  EXPECT_EQ(burst.flow_id_data()[0], 7u);
-  EXPECT_EQ(burst.wire_bytes_data()[0], burst.packet(0).wire_bytes);
-  EXPECT_EQ(burst.in_port(0), 3);
-  EXPECT_TRUE(burst.is_data(0));
-  EXPECT_FALSE(burst.is_control(0));
-  EXPECT_TRUE(burst.is_control(1));
-  EXPECT_FALSE(burst.is_data(1));
-  EXPECT_EQ(burst.in_port(1), 5);
-  EXPECT_FALSE(burst.consumed(0));
-  burst.Consume(0);
-  EXPECT_TRUE(burst.consumed(0));
-  EXPECT_TRUE(burst.is_data(0));  // the consumed bit does not clobber the type
-  burst.EndUse();
-}
-
-TEST(PacketBurstTest, SlabGrowthMidBurstKeepsColumnsCoherent) {
-  // Gathering a burst while the arena carves a new slab (push 300 queue nodes
-  // = two slabs) must leave every previously appended column intact: the
-  // burst snapshots packets, it never aliases arena nodes.
-  PacketArena arena;
-  PacketQueue queue(&arena);
-  PacketBurst& burst = arena.burst_staging();
-  constexpr uint32_t kCount = 300;  // > one 256-node slab
-  burst.BeginUse();
-  for (uint32_t psn = 0; psn < kCount; ++psn) {
-    const Packet pkt = MakeDataPacket(1, 0, 1, psn, 100, 0);
-    queue.push_back(pkt);  // grows a second slab at node 257
-    burst.Append(pkt, static_cast<int>(psn % 7));
-  }
-  EXPECT_EQ(arena.slab_count(), 2u);
-  while (!queue.empty()) {
-    queue.pop_front();  // nodes return to the freelist while the burst is live
-  }
-  ASSERT_EQ(burst.size(), static_cast<size_t>(kCount));
-  for (uint32_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(burst.psn_data()[i], i);
-    EXPECT_EQ(burst.packet(i).psn, i);
-    EXPECT_EQ(burst.in_port(i), static_cast<int>(i % 7));
-  }
-  burst.EndUse();
-}
-
-TEST(PacketBurstTest, FreelistRecycleDoesNotAliasBurstColumns) {
-  // A node freed after gather and recycled for a new packet must not change
-  // what the burst staged — columns and the AoS snapshot are both copies.
-  PacketArena arena;
-  PacketQueue queue(&arena);
-  PacketBurst& burst = arena.burst_staging();
-  queue.push_back(MakeDataPacket(1, 0, 1, 11, 100, 0));
-  burst.BeginUse();
-  burst.Append(queue.front(), 0);
-  queue.pop_front();  // free the node...
-  queue.push_back(MakeDataPacket(2, 0, 1, 99, 100, 0));  // ...recycle it
-  EXPECT_EQ(arena.recycled_allocations(), 1u);
-  EXPECT_EQ(burst.psn_data()[0], 11u);
-  EXPECT_EQ(burst.packet(0).psn, 11u);
-  EXPECT_EQ(burst.flow_id_data()[0], 1u);
-  burst.EndUse();
-}
-
-TEST(PacketBurstTest, BeginUseResetsPriorContents) {
-  PacketArena arena;
-  PacketBurst& burst = arena.burst_staging();
-  burst.BeginUse();
-  burst.Append(MakeDataPacket(1, 0, 1, 5, 100, 0), 0);
-  burst.egress.push_back(nullptr);  // switch-pipeline scratch in use
-  burst.EndUse();
-  burst.BeginUse();  // a fresh gather starts from zero
-  EXPECT_TRUE(burst.empty());
-  burst.EndUse();
-}
-
-TEST(PacketBurstTest, StagingIsPerArena) {
-  // Same isolation contract as the queue nodes: concurrent Networks must
-  // never share a staging area, and activity in one is invisible to the other.
-  Simulator sim_a;
-  Network net_a(&sim_a);
-  Simulator sim_b;
-  Network net_b(&sim_b);
-  PacketBurst& a = net_a.packet_arena().burst_staging();
-  PacketBurst& b = net_b.packet_arena().burst_staging();
-  EXPECT_NE(&a, &b);
-  a.BeginUse();
-  a.Append(MakeDataPacket(1, 0, 1, 0, 100, 0), 0);
-  EXPECT_TRUE(a.active());
-  EXPECT_FALSE(b.active());
-  EXPECT_TRUE(b.empty());
-  a.EndUse();
-}
-
 TEST(NetworkTest, NodeIdsAreSequential) {
   Simulator sim;
   Network net(&sim);

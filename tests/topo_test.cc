@@ -198,9 +198,9 @@ TEST(SwitchTest, AllUplinksFailedDropsWithStat) {
 
 TEST(SwitchTest, FailedUplinkSkippedAmongMoreThan64Candidates) {
   // 80 equal-cost uplinks, one failed: Forward once filtered the live ones
-  // into a 64-entry array and read past it. Scalar mode filters in Forward,
-  // burst mode (both hosts of tor0 send at once, so deliveries coincide) in
-  // StageEgress; neither may send on the failed port.
+  // into a 64-entry array and read past it. Both hosts of tor0 send at once,
+  // so in burst mode their deliveries coincide and drain as same-tick runs;
+  // in either mode no packet may leave on the failed port.
   for (const bool burst : {true, false}) {
     LeafSpineHarness h(2, 80, 2);
     h.sim.set_burst_enabled(burst);
