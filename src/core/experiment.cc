@@ -473,7 +473,8 @@ void Experiment::AttachTelemetry(Telemetry* telemetry) {
 
   // Burst drain-loop shape: cumulative tagged events dispatched in bursts,
   // plus the per-length histogram (bucket k covers lengths (2^(k-1), 2^k]).
-  // All zero when THEMIS_BURST is off or no dispatcher is installed.
+  // With burst mode off every run has length 1; all zero when no dispatcher
+  // is installed.
   const SimBurstStats* burst = &sim_.burst_stats();
   registry->RegisterGauge("sim.burst_events", [burst] {
     return static_cast<double>(burst->burst_events);

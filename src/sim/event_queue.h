@@ -142,7 +142,7 @@ class EventQueue {
   // (time, seq)-identical to `burst_n` scalar pops. `*burst_n == 0` means a
   // plain callback event was popped into `*cb` instead. With `max_n == 1`
   // this degrades to the scalar path, one tagged event per call — the
-  // THEMIS_BURST=off reference.
+  // reference drain of Simulator::set_burst_enabled(false).
   bool PopEventOrBurst(TimePs deadline, TimePs* time_out, Callback* cb, uint64_t* tags,
                        uint64_t* seqs, size_t max_n, size_t* burst_n) {
     *burst_n = 0;

@@ -17,8 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -54,9 +52,7 @@ class Simulator {
   // fan-in the reproduced topologies produce.
   static constexpr size_t kMaxBurst = 128;
 
-  explicit Simulator(uint64_t seed = 1) : rng_(seed) {
-    burst_enabled_ = !BurstDisabledByEnv();
-  }
+  explicit Simulator(uint64_t seed = 1) : rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -117,10 +113,10 @@ class Simulator {
     line_rate_dispatcher_ = dispatcher;
   }
 
-  // Burst mode (default on; THEMIS_BURST=off/0 or set_burst_enabled(false)
-  // selects the scalar reference path, which pops and dispatches tagged
-  // events one at a time). Firing order is identical either way — burst mode
-  // only batches the drain, it never reorders.
+  // Burst mode (default on; set_burst_enabled(false) selects the reference
+  // drain, which pops and dispatches tagged events one at a time). Firing
+  // order is identical either way — burst mode only batches the drain, it
+  // never reorders.
   void set_burst_enabled(bool enabled) { burst_enabled_ = enabled; }
   bool burst_enabled() const { return burst_enabled_; }
   const SimBurstStats& burst_stats() const { return burst_stats_; }
@@ -214,15 +210,6 @@ class Simulator {
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
 
  private:
-  static bool BurstDisabledByEnv() {
-    const char* v = std::getenv("THEMIS_BURST");
-    if (v == nullptr) {
-      return false;
-    }
-    return std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "OFF") == 0 || std::strcmp(v, "false") == 0;
-  }
-
   void RecordBurst(size_t n) {
     ++burst_stats_.bursts;
     burst_stats_.burst_events += n;
