@@ -90,6 +90,16 @@ bool FlowSizeCdf::Parse(const std::string& name, const std::string& text, FlowSi
       }
       return false;
     }
+    // A knee is a uint64_t byte count: a fraction would be truncated, and a
+    // value of 2^64 or more has no uint64_t to convert to.
+    constexpr double kTwoTo64 = 18446744073709551616.0;
+    if (bytes != std::floor(bytes) || bytes >= kTwoTo64) {
+      if (error != nullptr) {
+        *error = "line " + std::to_string(line_no) +
+                 ": flow size must be a whole number of bytes below 2^64";
+      }
+      return false;
+    }
     points.push_back(Point{static_cast<uint64_t>(bytes), prob});
   }
   const std::string invalid = ValidatePoints(points);
@@ -99,10 +109,18 @@ bool FlowSizeCdf::Parse(const std::string& name, const std::string& text, FlowSi
     }
     return false;
   }
+  // The generator turns a load into an arrival rate by dividing by the mean.
+  const double mean = ComputeMean(points);
+  if (!(mean > 0.0)) {
+    if (error != nullptr) {
+      *error = "mean flow size must be positive";
+    }
+    return false;
+  }
   FlowSizeCdf cdf;
   cdf.name_ = name;
   cdf.points_ = std::move(points);
-  cdf.mean_bytes_ = ComputeMean(cdf.points_);
+  cdf.mean_bytes_ = mean;
   *out = std::move(cdf);
   return true;
 }

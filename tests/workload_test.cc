@@ -58,6 +58,14 @@ TEST(FlowSizeCdfTest, RejectsMalformedInput) {
   EXPECT_NE(error.find("trailing"), std::string::npos);
   // Empty.
   EXPECT_FALSE(FlowSizeCdf::Parse("bad", "# nothing here\n", &cdf, &error));
+  // A size that is not a whole number of bytes below 2^64.
+  EXPECT_FALSE(FlowSizeCdf::Parse("bad", "1e30 1.0\n", &cdf, &error));
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  EXPECT_FALSE(FlowSizeCdf::Parse("bad", "# sizes\n0.5 1.0\n", &cdf, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  // A zero mean, which the generator cannot turn into an arrival rate.
+  EXPECT_FALSE(FlowSizeCdf::Parse("bad", "0 1.0\n", &cdf, &error));
+  EXPECT_NE(error.find("mean"), std::string::npos) << error;
 }
 
 TEST(FlowSizeCdfTest, LoadFileRoundTripsAndNamesAfterBasename) {
