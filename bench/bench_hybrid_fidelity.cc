@@ -15,7 +15,7 @@
 // Part B (scale): a 1024-host fat-tree (k = 16) foreground FCT sweep over
 // {ECMP, RandomSpray, Themis-S, Themis-D} under fluid background load —
 // the run the hybrid engine exists for: full packet-level background at this
-// scale is out of CI reach, the model costs one wheel event per 5 us.
+// scale is out of CI reach, the model costs one timer event per 5 us.
 //
 // Env knobs:
 //   THEMIS_HYBRID_CSV=path   write the combined results table as CSV

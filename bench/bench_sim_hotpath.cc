@@ -1,11 +1,12 @@
-// Event-engine hot-path microbenchmark: before/after the two-tier refactor.
+// Event-engine hot-path microbenchmark: the current engine (line-rate
+// calendar + indexed callback heap) against a replica of the seed engine.
 //
 // Workloads:
 //  1. Synthetic churn — 256 "flows", each packet event re-arms its flow's
 //     RTO-style timer (and every 7th cancels a neighbour's), then schedules
-//     the next packet 0–2 us out. This is the Simulator's packet-path access
+//     the next packet 0–2 us out. This is the Simulator's timer access
 //     pattern distilled: tiny captures, constant timer arm/cancel churn, a
-//     queue depth of a few hundred entries.
+//     queue depth of a few hundred entries, all on the callback heap.
 //  2. A real Fig.-1-scale collective (2x4x8 hosts, RandomSpray + NIC-SR +
 //     DCQCN), measuring end-to-end events/sec through the full model stack.
 //
@@ -313,10 +314,17 @@ TierBreakdown RunFig1Scale(int reps, bool burst_enabled) {
   return breakdown;
 }
 
-// Writes the per-tier breakdown plus the burst-on/off ablation as CSV when
-// THEMIS_HOTPATH_CSV names a path; CI uploads it as an artifact and compares
-// the two rate rows.
-void MaybeWriteTierCsv(const TierBreakdown& on, const TierBreakdown& off) {
+// Churn rates (best of kReps, M packet-events/s) of both engines.
+struct ChurnRates {
+  double legacy = 0.0;
+  double engine = 0.0;
+};
+
+// Writes the per-tier breakdown, the burst-on/off ablation and the churn
+// rates as CSV when THEMIS_HOTPATH_CSV names a path; CI uploads it as an
+// artifact and gates on the burst and churn ratios.
+void MaybeWriteTierCsv(const TierBreakdown& on, const TierBreakdown& off,
+                       const ChurnRates& churn) {
   const char* path = std::getenv("THEMIS_HOTPATH_CSV");
   if (path == nullptr || path[0] == '\0') {
     return;
@@ -338,6 +346,9 @@ void MaybeWriteTierCsv(const TierBreakdown& on, const TierBreakdown& off) {
                static_cast<unsigned long long>(on.events_executed));
   std::fprintf(f, "fig1_events_executed_off,%llu\n",
                static_cast<unsigned long long>(off.events_executed));
+  std::fprintf(f, "churn_legacy_packet_events_per_sec,%.0f\n", churn.legacy * 1e6);
+  std::fprintf(f, "churn_packet_events_per_sec,%.0f\n", churn.engine * 1e6);
+  std::fprintf(f, "churn_speedup,%.3f\n", churn.engine / churn.legacy);
   std::fclose(f);
 }
 
@@ -376,12 +387,12 @@ int main() {
 
   std::printf("churn workload (%d flows, %llu packet events):\n", kFlows,
               static_cast<unsigned long long>(kBudget));
-  const double legacy_rate =
+  ChurnRates churn;
+  churn.legacy =
       BestChurnRate<legacy::Simulator, legacy::Timer>("legacy", kFlows, kBudget, kReps);
-  const double wheel_rate =
-      BestChurnRate<Simulator, Timer>("two-tier", kFlows, kBudget, kReps);
+  churn.engine = BestChurnRate<Simulator, Timer>("two-tier", kFlows, kBudget, kReps);
   std::printf("churn speedup (two-tier / legacy, best of %d): %.2fx\n\n", kReps,
-              wheel_rate / legacy_rate);
+              churn.engine / churn.legacy);
 
   std::printf("Fig.1-scale collective (2 tors x 4 spines x 4 hosts, RandomSpray/NIC-SR/DCQCN):\n");
   const TierBreakdown off = RunFig1Scale(kReps, /*burst_enabled=*/false);
@@ -394,7 +405,7 @@ int main() {
                   : " (EVENT COUNT DIVERGED: off=%llu on=%llu)\n",
               static_cast<unsigned long long>(off.events_executed),
               static_cast<unsigned long long>(on.events_executed));
-  MaybeWriteTierCsv(on, off);
+  MaybeWriteTierCsv(on, off, churn);
   MaybeWriteBurstCsv(on);
   return 0;
 }

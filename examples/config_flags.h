@@ -63,7 +63,8 @@ inline bool SetFlag(int argc, char** argv, int* i, std::vector<std::string>* set
 // Applies the collected --set lines in order, after every other flag (so a
 // --scenario never overwrites them): names under "workload." go to
 // `workload` (null for a CLI without one), the rest to `config`. Then checks
-// the scenario they leave. Exits 1, naming the field, on the first rejection.
+// the config they leave (ValidateConfig, scenario included). Exits 1, naming
+// the field, on the first rejection.
 inline void ApplySets(const std::vector<std::string>& sets, ExperimentConfig& config,
                       WorkloadSpec* workload) {
   for (const std::string& assignment : sets) {
@@ -82,7 +83,7 @@ inline void ApplySets(const std::vector<std::string>& sets, ExperimentConfig& co
     }
   }
   std::string error;
-  if (!ValidateScenario(config.scenario, &error)) {
+  if (!ValidateConfig(config, &error)) {
     Fail("--set " + error);
   }
 }

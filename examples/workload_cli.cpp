@@ -96,10 +96,6 @@ CliRun Parse(int argc, char** argv) {
   if (run.workload.load <= 0.0 || run.workload.load >= 1.5) {
     cli::Fail("workload.load must be in (0, 1.5)");
   }
-  if (run.config.fabric == FabricKind::kFatTree &&
-      (run.config.fat_tree_k < 2 || run.config.fat_tree_k % 2 != 0)) {
-    cli::Fail("fat_tree_k must be even and >= 2");
-  }
   if (run.config.background_load > 0.0 && run.config.traffic_model == TrafficModelKind::kNone) {
     cli::Fail("background_load needs traffic_model=fluid");
   }

@@ -80,9 +80,9 @@ class DcqcnCc : public CongestionControl {
   int hyper_rounds_ = 0;
   uint64_t bytes_since_stage_ = 0;
 
-  // Both periodic timers ride the event engine's timer wheel (one per QP at
-  // 55us / TI cadence across every sender in the fabric), so their tick
-  // re-arms and Shutdown() cancellation are O(1) with no heap traffic.
+  // Both periodic timers ride the event engine's callback heap (one per QP
+  // at 55us / TI cadence across every sender in the fabric); Shutdown()
+  // cancels them in O(log n) and leaves no stale event behind.
   PeriodicTimer alpha_timer_;
   PeriodicTimer increase_timer_;
 };

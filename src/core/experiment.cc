@@ -1,12 +1,40 @@
 #include "src/core/experiment.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "src/traffic/fluid_model.h"
 
 namespace themis {
+
+bool ValidateConfig(const ExperimentConfig& config, std::string* error) {
+  struct Check {
+    bool failed;
+    const char* field;
+    const char* reason;
+  };
+  const Check checks[] = {
+      {config.fabric == FabricKind::kFatTree &&
+           (config.fat_tree_k < 2 || config.fat_tree_k % 2 != 0),
+       "fat_tree_k", "must be even and >= 2 on a fat-tree"},
+      {!(std::isfinite(config.themis_queue_expansion) && config.themis_queue_expansion > 0.0),
+       "themis_queue_expansion", "must be finite and > 0"},
+      {config.traffic_epoch <= 0, "traffic_epoch", "must be a positive time"},
+      {config.dcqcn_ti <= 0, "dcqcn_ti", "must be a positive time"},
+      {config.retransmit_timeout <= 0, "retransmit_timeout", "must be a positive time"},
+  };
+  for (const Check& check : checks) {
+    if (check.failed) {
+      if (error != nullptr) {
+        *error = std::string(check.field) + ": " + check.reason;
+      }
+      return false;
+    }
+  }
+  return ValidateScenario(config.scenario, error);
+}
 
 Experiment::Experiment(const ExperimentConfig& config) : config_(config), sim_(config.seed) {
   network_ = std::make_unique<Network>(&sim_);
@@ -459,9 +487,9 @@ void RegisterPortCounters(CounterRegistry* registry, const std::string& node_nam
 void Experiment::AttachTelemetry(Telemetry* telemetry) {
   CounterRegistry* registry = &telemetry->counters();
 
-  // Per-tier event-queue occupancy: where pending events currently live
-  // (heap one-shots / wheel timers / calendar line-rate events). Shows up as
-  // sim.*_pending columns in --counters output.
+  // Event-queue occupancy by kind: pending one-shots and cancellable timers
+  // (both on the callback heap; the "wheel" name predates it) and calendar
+  // line-rate events. Shows up as sim.*_pending columns in --counters output.
   const Simulator* sim = &sim_;
   registry->RegisterGauge("sim.heap_pending",
                           [sim] { return static_cast<double>(sim->queue().heap_pending()); });

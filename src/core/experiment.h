@@ -12,6 +12,7 @@
 #define THEMIS_SRC_CORE_EXPERIMENT_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/collective/alltoall.h"
@@ -172,6 +173,15 @@ struct ExperimentConfig {
   uint32_t mtu_bytes = 1500;
   TimePs retransmit_timeout = 100 * kMicrosecond;
 };
+
+// The range checks a config set field by field (the CLIs' `--set`) must pass
+// before an Experiment is built from it: fat_tree_k even and >= 2 on a
+// fat-tree, themis_queue_expansion finite and > 0 (the PSN queue needs at
+// least one entry), positive dcqcn_ti, traffic_epoch and retransmit_timeout
+// (a zero period re-arms its timer at the same tick forever), then
+// ValidateScenario on the scenario. On failure fills `error` (if non-null)
+// with "<field>: reason".
+bool ValidateConfig(const ExperimentConfig& config, std::string* error);
 
 class Experiment {
  public:

@@ -107,7 +107,7 @@ void RnicHost::NotifyWork() {
     return;  // loop continues once the current packet finishes serializing
   }
   if (state_ == SchedulerState::kSleeping) {
-    wake_timer_.Cancel();  // remove the pending wake-up from the wheel
+    wake_timer_.Cancel();  // remove the pending wake-up from the callback heap
     state_ = SchedulerState::kIdle;
   }
   RunScheduler();
@@ -162,8 +162,8 @@ void RnicHost::RunScheduler() {
   // Transmit one packet; hold the line for its serialization time. This is
   // one line-rate event per transmitted packet — exactly the calendar tier's
   // customer — so it rides ScheduleSerialization. (The pacing/PFC wake-ups
-  // above stay on the wheel: NotifyWork cancels them, and only the wheel
-  // gives O(1) cancellation with no garbage event left behind.)
+  // above stay on the callback heap: NotifyWork cancels them, and only the
+  // callback heap supports cancel, leaving no garbage event behind.)
   const Packet pkt = best->DequeuePacket();
   ++rr_cursor_;
   uplink()->Send(pkt);

@@ -82,9 +82,9 @@ class RnicHost : public Node {
 
   bool auto_schedule_ = true;
   SchedulerState state_ = SchedulerState::kIdle;
-  // Scheduler wake-up (pacing gap / PFC poll). Wheel-backed, so the
-  // arm-on-sleep / cancel-on-NotifyWork churn is O(1) and leaves no stale
-  // events in the queue.
+  // Scheduler wake-up (pacing gap / PFC poll). A cancellable timer on the
+  // callback heap, so the arm-on-sleep / cancel-on-NotifyWork churn leaves
+  // no stale events in the queue.
   Timer wake_timer_;
   size_t rr_cursor_ = 0;  // round-robin start index for fairness
   RnicHostStats host_stats_;

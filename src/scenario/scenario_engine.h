@@ -3,7 +3,7 @@
 // The engine resolves each event's target expression against the topology at
 // Attach() time (failing loudly on typos — a chaos campaign that silently
 // faults nothing is worse than a crash), then schedules every fault
-// occurrence as a pair of wheel-tier Timers: apply at `at_k`, clear at
+// occurrence as a pair of Timers: apply at `at_k`, clear at
 // `at_k + down_k` / `at_k + duration`. Alongside, a PeriodicTimer samples
 // the RecoveryTracker probes (delivered bytes, drops).
 //
@@ -16,8 +16,8 @@
 //   * an empty script constructs no engine, arms no timers, and perturbs
 //     nothing — chaos-off runs are bit-exactly the no-scenario runs (pinned
 //     by the determinism goldens);
-//   * timers live on the hierarchical wheel like all periodic machinery, so
-//     campaign overhead is O(1) per occurrence.
+//   * timers live on the callback heap like all periodic machinery, so
+//     campaign overhead is O(log n) per occurrence.
 //
 // Fault semantics:
 //   flap    — Port::set_failed(true) on every resolved port (both directions

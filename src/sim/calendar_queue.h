@@ -1,18 +1,17 @@
 // A calendar queue for line-rate one-shot events.
 //
-// After the timer-wheel refactor the binary heap holds almost exclusively
-// port serialization/delivery events: two per packet, both scheduled at most
-// one serialization quantum plus one propagation delay ahead of now, firing
-// at near-uniform spacing (one MTU at line rate). A calendar queue whose
-// bucket width is tuned to that quantum makes this remaining hot path O(1)
-// per event: insert is a push_back into the target bucket, and the cursor
-// collects at most one mostly-singleton bucket per pop.
+// Most events are port serialization/delivery events: two per packet, both
+// scheduled at most one serialization quantum plus one propagation delay
+// ahead of now, firing at near-uniform spacing (one MTU at line rate). A
+// calendar queue whose bucket width is tuned to that quantum makes this hot
+// path O(1) per event: insert is a push_back into the target bucket, and the
+// cursor collects at most one mostly-singleton bucket per pop.
 //
-// Determinism contract (same as the timer wheel): every entry carries the
+// Determinism contract (same as the callback heap): every entry carries the
 // sequence number handed out by the owning EventQueue, buckets drain through
 // a small ready heap ordered by (time, seq), and the queue merges that ready
-// heap with the other tiers. The observable firing order is bit-identical to
-// a single global heap.
+// heap with the callback heap. The observable firing order is bit-identical
+// to a single global heap.
 //
 // Entries are non-cancellable (serialization/delivery chains never cancel),
 // which is what keeps the tier this simple: no nodes, no generations, no
@@ -23,7 +22,7 @@
 // event, so the tier stays effective after idle stretches and the horizon
 // window always brackets the traffic that is actually in flight. Events
 // beyond the horizon are rejected by Accepts() and the caller routes them to
-// the heap tier instead (overflow-to-heap).
+// the callback heap instead (overflow-to-heap).
 //
 // Tagged entries (burst mode): the port serialization/delivery chain needs no
 // callback at all — the event is fully described by a non-zero uint64 tag
@@ -88,7 +87,7 @@ class CalendarQueue {
   }
 
   // True if an entry firing at `at` can be housed by this tier given the
-  // current cursor. The caller routes rejected entries to the heap tier.
+  // current cursor. The caller routes rejected entries to the callback heap.
   bool Accepts(TimePs at) const {
     if (!configured()) {
       return false;
@@ -202,18 +201,6 @@ class CalendarQueue {
   }
 
   size_t pending() const { return in_bucket_count_ + ready_.size(); }
-
-  void Clear() {
-    for (auto& bucket : buckets_) {
-      bucket.clear();
-    }
-    std::fill(occupancy_.begin(), occupancy_.end(), 0);
-    ready_.clear();
-    cb_pool_.clear();
-    free_slots_.clear();
-    in_bucket_count_ = 0;
-    cal_time_ = 0;
-  }
 
  private:
   static constexpr uint32_t kNoSlot = ~uint32_t{0};

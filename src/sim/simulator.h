@@ -4,13 +4,14 @@
 // executive is single-threaded by design; determinism comes from integer
 // time plus FIFO tie-breaking in the event queue.
 //
-// Three scheduling tiers (see event_queue.h): plain Schedule()/ScheduleAt()
-// events go to the binary heap; cancellable timers (Timer, PeriodicTimer,
-// ScheduleTimer) ride the hierarchical timer wheel; line-rate one-shots
-// (ScheduleSerialization) ride a calendar queue sized to the port
-// serialization quantum. All tiers draw sequence numbers from the same
-// counter, so the firing order — and therefore every fixed-seed trace — is
-// identical to a single global heap.
+// Two scheduling tiers (see event_queue.h): line-rate one-shots
+// (ScheduleSerialization, SchedulePortEvent) ride a calendar queue sized to
+// the port serialization quantum; everything else — plain
+// Schedule()/ScheduleAt() events and cancellable timers (Timer,
+// PeriodicTimer, ScheduleTimer) — shares one indexed callback heap. Both
+// tiers draw sequence numbers from the same counter, so the firing order —
+// and therefore every fixed-seed trace — is identical to a single global
+// heap.
 
 #ifndef THEMIS_SRC_SIM_SIMULATOR_H_
 #define THEMIS_SRC_SIM_SIMULATOR_H_
@@ -86,7 +87,7 @@ class Simulator {
   // plus a propagation delay out — the port serialization/delivery chain and
   // NIC line holds. Rides the calendar tier (O(1) insert/pop) when one is
   // configured and the deadline is within its horizon; falls back to the
-  // heap otherwise. Inline-only, like ScheduleInline.
+  // callback heap otherwise. Inline-only, like ScheduleInline.
   template <typename F>
   void ScheduleSerialization(TimePs delay, F&& f) {
     queue_.ScheduleLineRate(now_ + delay, EventCallback::MustInline(std::forward<F>(f)));
@@ -95,8 +96,8 @@ class Simulator {
   // Tagged line-rate event: no callback at all — `tag` (non-zero) encodes
   // the port and event kind, and the dispatcher registered via
   // SetLineRateDispatcher decodes it at fire time. Same tier routing as
-  // ScheduleSerialization; entries beyond the calendar horizon ride the heap
-  // wrapped in a self-dispatching callback.
+  // ScheduleSerialization; entries beyond the calendar horizon ride the
+  // callback heap wrapped in a self-dispatching callback.
   void SchedulePortEvent(TimePs delay, uint64_t tag) {
     const TimePs at = now_ + delay;
     if (!queue_.ScheduleLineRateTagged(at, tag)) {
@@ -134,8 +135,8 @@ class Simulator {
   // Read-only queue access for telemetry gauges and tier-occupancy stats.
   const EventQueue& queue() const { return queue_; }
 
-  // Cancellable timer entries on the wheel; Arm and Cancel are O(1) and a
-  // cancelled entry leaves no residue in the queue.
+  // Cancellable timer entries on the callback heap; Arm and Cancel are
+  // O(log n) and a cancelled entry leaves no residue in the queue.
   TimerId ScheduleTimer(TimePs delay, EventQueue::Callback cb) {
     return queue_.ScheduleTimer(now_ + delay, std::move(cb));
   }
@@ -201,7 +202,6 @@ class Simulator {
 
   bool HasPendingEvents() const { return !queue_.empty(); }
   uint64_t events_executed() const { return events_executed_; }
-  uint64_t events_scheduled() const { return queue_.total_scheduled(); }
 
   // Telemetry attachment point (src/telemetry): record sites reach the sink
   // through the simulator every model object already holds. Null (the
@@ -229,10 +229,10 @@ class Simulator {
   SimBurstStats burst_stats_;
 };
 
-// A cancellable, re-armable one-shot timer backed by the timer wheel.
-// Cancel() and re-Arm() are O(1) and physically remove the pending entry —
-// unlike the old generation-counting scheme, no superseded no-op event is
-// left behind to be popped later.
+// A cancellable, re-armable one-shot timer backed by the callback heap.
+// Cancel() and re-Arm() physically remove the pending entry — unlike the old
+// generation-counting scheme, no superseded no-op event is left behind to be
+// popped later.
 class Timer {
  public:
   using Callback = std::function<void()>;
@@ -277,7 +277,7 @@ class Timer {
   TimePs deadline_ = 0;
 };
 
-// A fixed-period repeating timer riding the timer wheel. Stops when
+// A fixed-period repeating timer riding the callback heap. Stops when
 // Cancel()ed or destroyed.
 class PeriodicTimer {
  public:

@@ -1,8 +1,8 @@
 // BackgroundTrafficEngine: applies a TrafficModel's per-port pressure to
 // live Ports on a coarse epoch timer.
 //
-// Placement in the three-tier scheduler: the epoch timer is a PeriodicTimer
-// on the *wheel* tier — one event per epoch (default 5 us, vs. the ~120 ns
+// Placement in the two-tier scheduler: the epoch timer is a PeriodicTimer
+// on the callback heap — one event per epoch (default 5 us, vs. the ~120 ns
 // per-packet quantum), so the calendar-queue hot path never sees the
 // engine. Epoch 0 is applied synchronously from Start() before any packet
 // moves; each subsequent epoch fires at k * period and walks the driven

@@ -52,7 +52,7 @@ class TraceTrafficModel : public TrafficModel {
 };
 
 // Samples real per-port (occupancy, utilization) during a full-fidelity run
-// on a wheel-tier periodic timer. Utilization is measured as the tx-bytes
+// on a periodic timer. Utilization is measured as the tx-bytes
 // delta over the sample period against link capacity; occupancy is the
 // instantaneous data-queue depth. Attach before Run(), then Harvest() after.
 class OccupancyRecorder {

@@ -13,7 +13,7 @@
 //
 // Determinism contract: a model's output is a pure function of (config seed,
 // port index, epoch index) — epochs are visited in order, once each, from a
-// wheel-tier timer — so hybrid runs are byte-identical across sweep threads
+// periodic timer — so hybrid runs are byte-identical across sweep threads
 // and repeat runs. With no model attached nothing in the hot path changes.
 
 #ifndef THEMIS_SRC_TRAFFIC_TRAFFIC_MODEL_H_

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -306,6 +307,56 @@ TEST(ConfigFieldsTest, MalformedValuesNameTheFieldAndChangeNothing) {
     EXPECT_EQ(error.rfind(std::string(c.name) + ": ", 0), 0u) << error;
     EXPECT_EQ(Canonical(config, workload), before) << c.name << "=" << c.value;
   }
+}
+
+// Values the field table reads whole but that would stall a run (a zero
+// timer period re-arms at the same tick forever) or crash it (an empty PSN
+// queue ring): ValidateConfig rejects each, naming the field, and accepts the
+// default config.
+TEST(ConfigFieldsTest, ValidateConfigRejectsStallingAndCrashingValues) {
+  std::string error;
+  EXPECT_TRUE(ValidateConfig(ExperimentConfig{}, &error)) << error;
+  struct Case {
+    const char* name;
+    const char* value;
+  };
+  const Case kCases[] = {
+      {"dcqcn_ti", "0"},           {"retransmit_timeout", "0"},
+      {"traffic_epoch", "0"},
+      {"themis_queue_expansion", "0"}, {"themis_queue_expansion", "-1.5"},
+      {"fat_tree_k", "3"},         {"fat_tree_k", "0"},
+  };
+  for (const Case& c : kCases) {
+    ExperimentConfig config;
+    config.fabric = FabricKind::kFatTree;
+    ASSERT_TRUE(ValidateConfig(config, &error)) << error;
+    ASSERT_TRUE(SetField(config, c.name, c.value, &error)) << error;
+    error.clear();
+    EXPECT_FALSE(ValidateConfig(config, &error)) << c.name << "=" << c.value;
+    EXPECT_EQ(error.rfind(std::string(c.name) + ": ", 0), 0u) << error;
+  }
+  // Negative times and non-finite expansions cannot be spelled in config
+  // text; set them directly.
+  ExperimentConfig negative;
+  negative.dcqcn_ti = -kMicrosecond;
+  EXPECT_FALSE(ValidateConfig(negative, &error));
+  EXPECT_EQ(error.rfind("dcqcn_ti: ", 0), 0u) << error;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    ExperimentConfig config;
+    config.themis_queue_expansion = bad;
+    EXPECT_FALSE(ValidateConfig(config, &error)) << bad;
+    EXPECT_EQ(error.rfind("themis_queue_expansion: ", 0), 0u) << error;
+  }
+  // An odd arity only matters on a fat-tree.
+  ExperimentConfig leaf_spine;
+  leaf_spine.fat_tree_k = 3;
+  EXPECT_TRUE(ValidateConfig(leaf_spine, &error)) << error;
+  // The scenario check still runs, and names the scenario.
+  ExperimentConfig bad_scenario;
+  ASSERT_TRUE(SetField(bad_scenario, "scenario.sample_period", "0", &error)) << error;
+  EXPECT_FALSE(ValidateConfig(bad_scenario, &error));
+  EXPECT_EQ(error.rfind("scenario", 0), 0u) << error;
 }
 
 TEST(ConfigFieldsTest, ScnSpellingsAndEventCountCap) {

@@ -1,12 +1,12 @@
-// Tests for the three-tier event engine: the InlineCallback small-buffer
-// type, the hierarchical timer wheel, the line-rate calendar queue, and the
-// (time, seq) merge across all tiers and the binary heap.
+// Tests for the two-tier event engine: the InlineCallback small-buffer
+// type, the indexed callback heap (one-shots and cancellable timers), the
+// line-rate calendar queue, and the (time, seq) merge of the two tiers.
 //
-// The centrepiece is a randomized stress test that drives the real
+// The centrepiece is a pair of randomized stress tests that drive the real
 // EventQueue and a naive sorted-reference model through identical
-// Schedule/ScheduleTimer/Cancel/Pop interleavings and demands the exact
-// same firing order — this is the property ("wheel is invisible") that
-// keeps fixed-seed traces bit-identical across the engine refactor.
+// Schedule/ScheduleTimer/Cancel/Pop interleavings and demand the exact same
+// firing order — the property ("the tiers are invisible") that keeps
+// fixed-seed traces bit-identical across engine refactors.
 
 #include <algorithm>
 #include <cstdint>
@@ -104,9 +104,9 @@ TEST(InlineCallbackTest, MustInlineAcceptsPacketPathCaptures) {
   EXPECT_EQ(fake.x, 3);
 }
 
-// --- TimerWheel via EventQueue ----------------------------------------------
+// --- Timer cancel and order via EventQueue -----------------------------------
 
-TEST(TimerWheelTest, CancelledTimerNeverFiresAndLeavesNoEvent) {
+TEST(TimerCancelTest, CancelledTimerNeverFiresAndLeavesNoEvent) {
   EventQueue q;
   int fired = 0;
   TimerId id = q.ScheduleTimer(1000, [&fired] { ++fired; });
@@ -117,13 +117,13 @@ TEST(TimerWheelTest, CancelledTimerNeverFiresAndLeavesNoEvent) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST(TimerWheelTest, CancelAfterCollectIntoReadyHeap) {
+TEST(TimerCancelTest, CancelOfTheReportedMinimumWins) {
   EventQueue q;
   int fired = 0;
   TimerId id = q.ScheduleTimer(100, [&fired] { ++fired; });
   q.ScheduleAt(50'000'000, [] {});
-  // NextTime() syncs the wheel: the timer entry is pulled into the ready
-  // heap. A cancel must still win.
+  // NextTime() has just reported the timer as the earliest event (it sits at
+  // the heap top). A cancel must still win.
   EXPECT_EQ(q.NextTime(), 100);
   EXPECT_TRUE(q.CancelTimer(id));
   TimePs t = 0;
@@ -133,9 +133,8 @@ TEST(TimerWheelTest, CancelAfterCollectIntoReadyHeap) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST(TimerWheelTest, FarFutureTimersTakeOverflowPath) {
-  // 300 s is beyond the wheel's ~281 s span, so these entries sit in the
-  // overflow list until the cursor gets near.
+TEST(TimerOrderTest, FarFutureTimersFireInOrder) {
+  // Deadlines 300-600 s out, scheduled out of order.
   EventQueue q;
   std::vector<int> order;
   q.ScheduleTimer(300 * kSecond + 5, [&order] { order.push_back(2); });
@@ -148,9 +147,8 @@ TEST(TimerWheelTest, FarFutureTimersTakeOverflowPath) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(TimerWheelTest, FifoTieBreakAcrossTiers) {
-  // Entries at the same timestamp fire in scheduling order even when they
-  // live in different tiers.
+TEST(TimerOrderTest, FifoTieBreakWithOneShots) {
+  // Timers and one-shots at the same timestamp fire in scheduling order.
   EventQueue q;
   std::vector<int> order;
   q.ScheduleAt(500, [&order] { order.push_back(0); });
@@ -165,7 +163,7 @@ TEST(TimerWheelTest, FifoTieBreakAcrossTiers) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// --- Randomized stress: wheel+heap vs a sorted-reference model ---------------
+// --- Randomized stress: timers + one-shots vs a sorted-reference model -------
 
 struct RefEntry {
   TimePs time = 0;
@@ -173,21 +171,24 @@ struct RefEntry {
   int id = 0;
   bool cancelled = false;
   bool fired = false;
+  bool timer = false;
 };
 
-TEST(TimerWheelStressTest, MatchesReferenceUnderRandomChurn) {
+TEST(TimerChurnStressTest, MatchesReferenceUnderRandomChurn) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
     EventQueue q;
     std::vector<RefEntry> ref;   // one slot per scheduled entry, by id
     std::vector<int> fired;      // ids in actual firing order
-    std::vector<std::pair<TimerId, int>> live_timers;  // handle -> ref id
+    std::vector<std::pair<TimerId, int>> handles;  // timer handle -> ref id
     uint64_t next_seq = 0;       // mirrors the queue's internal counter
     TimePs now = 0;
     uint64_t monotonic_check = 0;
+    size_t live_oneshots = 0;    // reference counts of pending entries
+    size_t live_timers = 0;
 
-    // Delay distributions chosen to exercise every wheel path: level-0
-    // slots, upper levels + cascades, zero-delay arms, and overflow.
+    // Delays from sub-ns through seconds to minutes out, so the heap holds
+    // near and far deadlines at once and near-ties are common.
     auto random_delay = [&rng]() -> TimePs {
       switch (rng.Below(8)) {
         case 0:
@@ -206,36 +207,41 @@ TEST(TimerWheelStressTest, MatchesReferenceUnderRandomChurn) {
       }
     };
 
-    auto fire = [&ref, &fired](int id) {
-      EXPECT_FALSE(ref[static_cast<size_t>(id)].cancelled);
-      EXPECT_FALSE(ref[static_cast<size_t>(id)].fired);
-      ref[static_cast<size_t>(id)].fired = true;
+    auto fire = [&ref, &fired, &live_oneshots, &live_timers](int id) {
+      RefEntry& entry = ref[static_cast<size_t>(id)];
+      EXPECT_FALSE(entry.cancelled);
+      EXPECT_FALSE(entry.fired);
+      entry.fired = true;
+      --(entry.timer ? live_timers : live_oneshots);
       fired.push_back(id);
     };
 
     for (int op = 0; op < 20'000; ++op) {
       const uint64_t dice = rng.Below(100);
-      if (dice < 40) {  // arm a wheel timer
+      if (dice < 40) {  // arm a timer
         const int id = static_cast<int>(ref.size());
         const TimePs at = now + random_delay();
-        ref.push_back(RefEntry{at, next_seq++, id, false, false});
-        live_timers.emplace_back(q.ScheduleTimer(at, [&fire, id] { fire(id); }), id);
-      } else if (dice < 55) {  // schedule a heap event
+        ref.push_back(RefEntry{at, next_seq++, id, false, false, true});
+        handles.emplace_back(q.ScheduleTimer(at, [&fire, id] { fire(id); }), id);
+        ++live_timers;
+      } else if (dice < 55) {  // schedule a one-shot
         const int id = static_cast<int>(ref.size());
         const TimePs at = now + random_delay();
-        ref.push_back(RefEntry{at, next_seq++, id, false, false});
+        ref.push_back(RefEntry{at, next_seq++, id, false, false, false});
         q.ScheduleAt(at, [&fire, id] { fire(id); });
+        ++live_oneshots;
       } else if (dice < 75) {  // cancel (possibly stale) timer handle
-        if (!live_timers.empty()) {
-          const size_t pick = static_cast<size_t>(rng.Below(live_timers.size()));
-          auto [handle, id] = live_timers[pick];
+        if (!handles.empty()) {
+          const size_t pick = static_cast<size_t>(rng.Below(handles.size()));
+          auto [handle, id] = handles[pick];
           RefEntry& entry = ref[static_cast<size_t>(id)];
           const bool expect_ok = !entry.fired && !entry.cancelled;
           EXPECT_EQ(q.CancelTimer(handle), expect_ok) << "id=" << id;
           if (expect_ok) {
             entry.cancelled = true;
+            --live_timers;
           }
-          live_timers.erase(live_timers.begin() + static_cast<long>(pick));
+          handles.erase(handles.begin() + static_cast<long>(pick));
         }
       } else {  // pop one event
         if (!q.empty()) {
@@ -247,6 +253,10 @@ TEST(TimerWheelStressTest, MatchesReferenceUnderRandomChurn) {
           ++monotonic_check;
         }
       }
+      // The occupancy gauges stay exact after every operation.
+      ASSERT_EQ(q.size(), live_oneshots + live_timers) << "seed=" << seed << " op=" << op;
+      ASSERT_EQ(q.heap_pending(), live_oneshots) << "seed=" << seed << " op=" << op;
+      ASSERT_EQ(q.wheel_pending(), live_timers) << "seed=" << seed << " op=" << op;
     }
 
     // Drain the remainder.
@@ -278,7 +288,7 @@ TEST(TimerWheelStressTest, MatchesReferenceUnderRandomChurn) {
 
 // Re-arm churn through the public Timer API, cross-checked against an
 // independently computed expectation.
-TEST(TimerWheelStressTest, TimerRearmChurnFiresExactlyLastArm) {
+TEST(TimerChurnStressTest, TimerRearmChurnFiresExactlyLastArm) {
   Simulator sim(3);
   constexpr int kTimers = 32;
   std::vector<int> fires(kTimers, 0);
@@ -335,6 +345,8 @@ TEST(CalendarQueueTest, ConfigureRejectedWhileEntriesPending) {
   EXPECT_TRUE(q.ConfigureCalendar(12, 16));  // drained: allowed again
 }
 
+// Calendar entries, one-shots and timers — three kinds of entry on the two
+// tiers — fire in scheduling order at one timestamp.
 TEST(CalendarQueueTest, FifoTieBreakAcrossAllThreeTiers) {
   EventQueue q;
   ASSERT_TRUE(q.ConfigureCalendar(10, 8));
@@ -432,7 +444,8 @@ TEST(CalendarQueueTest, ReanchorsAfterIdleStretch) {
   EXPECT_EQ(fired, 2);
 }
 
-// Randomized stress: all three tiers against the sorted-reference model.
+// Randomized stress: line-rate events, timers and one-shots against the
+// sorted-reference model.
 // A deliberately tiny calendar (8 buckets x 1024 ps = 8192 ps horizon)
 // forces constant bucket wraps and frequent overflow-to-heap, while delays
 // of 0 generate (time, seq) ties across tiers.
@@ -479,12 +492,12 @@ TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
         const TimePs at = now + random_delay();
         ref.push_back(RefEntry{at, next_seq++, id, false, false});
         q.ScheduleLineRate(at, [&fire, id] { fire(id); });
-      } else if (dice < 55) {  // wheel timer
+      } else if (dice < 55) {  // timer
         const int id = static_cast<int>(ref.size());
         const TimePs at = now + random_delay();
         ref.push_back(RefEntry{at, next_seq++, id, false, false});
         live_timers.emplace_back(q.ScheduleTimer(at, [&fire, id] { fire(id); }), id);
-      } else if (dice < 65) {  // heap event
+      } else if (dice < 65) {  // one-shot
         const int id = static_cast<int>(ref.size());
         const TimePs at = now + random_delay();
         ref.push_back(RefEntry{at, next_seq++, id, false, false});
@@ -539,9 +552,9 @@ TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
   }
 }
 
-// --- PopIfNotAfter (fused NextTime + Pop) ------------------------------------
+// --- PopEventOrBurst deadline (fused NextTime + Pop) --------------------------
 
-TEST(PopIfNotAfterTest, RespectsDeadlineAcrossTiers) {
+TEST(PopEventOrBurstTest, RespectsDeadlineAcrossTiers) {
   EventQueue q;
   ASSERT_TRUE(q.ConfigureCalendar(10, 8));
   std::vector<int> order;
@@ -551,24 +564,34 @@ TEST(PopIfNotAfterTest, RespectsDeadlineAcrossTiers) {
 
   TimePs t = 0;
   EventQueue::Callback cb;
+  uint64_t tag = 0;
+  uint64_t seq = 0;
+  size_t burst_n = 0;
+  // One event per call, as the scalar reference drain pops.
+  auto pop = [&](TimePs deadline) {
+    return q.PopEventOrBurst(deadline, &t, &cb, &tag, &seq, /*max_n=*/1, &burst_n);
+  };
   // Deadline below everything: nothing pops, queue intact.
-  EXPECT_FALSE(q.PopIfNotAfter(99, &t, &cb));
+  EXPECT_FALSE(pop(99));
   EXPECT_EQ(q.size(), 3u);
   // Deadline admits the first two, in order, then refuses the third.
-  ASSERT_TRUE(q.PopIfNotAfter(250, &t, &cb));
+  ASSERT_TRUE(pop(250));
+  EXPECT_EQ(burst_n, 0u);  // a callback event, not a tagged run
   cb();
   EXPECT_EQ(t, 100);
-  ASSERT_TRUE(q.PopIfNotAfter(250, &t, &cb));
+  ASSERT_TRUE(pop(250));
+  EXPECT_EQ(burst_n, 0u);
   cb();
   EXPECT_EQ(t, 200);
-  EXPECT_FALSE(q.PopIfNotAfter(250, &t, &cb));
+  EXPECT_FALSE(pop(250));
   EXPECT_EQ(q.size(), 1u);
   // Exact-time deadline is inclusive.
-  ASSERT_TRUE(q.PopIfNotAfter(300, &t, &cb));
+  ASSERT_TRUE(pop(300));
+  EXPECT_EQ(burst_n, 0u);
   cb();
   EXPECT_EQ(t, 300);
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.PopIfNotAfter(1'000'000, &t, &cb));  // empty queue
+  EXPECT_FALSE(pop(1'000'000));  // empty queue
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
@@ -606,8 +629,8 @@ TEST(RunUntilTest, AdvancesClockToDeadlineOnEarlyExit) {
 // event it executes as (fire time, tag); the burst path (same-tick runs
 // handed over as flat arrays) must replay the scalar reference — burst mode
 // off, one tagged event per dispatch — bit-exactly, under randomized tick
-// collisions, run-breaking callbacks, same-tick heap bounds, and
-// overflow-to-heap tagged entries.
+// collisions, run-breaking callbacks, same-tick one-shot and timer bounds,
+// and overflow-to-heap tagged entries.
 
 struct BurstLog {
   std::vector<std::pair<TimePs, uint64_t>> events;  // tag 0 = plain callback
@@ -641,8 +664,9 @@ size_t StoppingDispatcher(Simulator& sim, const uint64_t* tags, size_t n) {
 
 // Self-rescheduling volley generator: each firing packs several tagged events
 // onto few distinct ticks (collisions on purpose), sometimes adds a
-// run-breaking plain callback or a same-tick heap event, and occasionally
-// throws a tagged event beyond the calendar horizon (heap-wrapper path).
+// run-breaking plain callback or a same-tick one-shot or timer, and
+// occasionally throws a tagged event beyond the calendar horizon
+// (heap-wrapper path).
 struct BurstStorm {
   Simulator* sim = nullptr;
   Rng* rng = nullptr;
@@ -673,7 +697,9 @@ struct BurstStorm {
         sim->SchedulePortEvent(50'000 + static_cast<TimePs>(rng->Below(1'000)), next_tag);
         next_tag += 8;
         break;
-      default:
+      default:  // same-tick timer: bounds the run like a one-shot
+        sim->ScheduleTimer(static_cast<TimePs>(rng->Below(4)) * 32,
+                           EventCallback::MustInline([this] { LogCallback(); }));
         break;
     }
     sim->ScheduleInline(32 + static_cast<TimePs>(rng->Below(200)), [this] { Fire(); });
