@@ -8,8 +8,9 @@
 // Two tiers share one sequence counter:
 //  * ScheduleLineRate() — a calendar queue tuned to the port serialization
 //    quantum for the per-packet serialization/delivery chain (two events per
-//    packet, the hot path at fig1/fig5 scale). Insert and pop are O(1);
-//    entries beyond the calendar horizon overflow to the callback heap.
+//    packet, the hot path at fig1/fig5 scale). Insert is O(1), and each
+//    bucket is sorted once when collected and then popped by index; entries
+//    beyond the calendar horizon overflow to the callback heap.
 //  * ScheduleAt() and ScheduleTimer()/CancelTimer() — one indexed 4-ary
 //    callback heap for everything else: non-cancellable one-shots with
 //    irregular or far-future deadlines (workload arrivals, failure
@@ -163,8 +164,9 @@ class EventQueue {
   const CalendarQueue& calendar() const { return calendar_; }
 
  private:
-  // Pulls every calendar entry that could precede the callback heap's top
-  // into the calendar's ready heap, so the merge by (time, seq) is exact.
+  // Collects every calendar bucket that could hold an entry preceding the
+  // callback heap's top into the calendar's sorted run, so the merge by
+  // (time, seq) is exact.
   void Sync() { calendar_.CollectDue(heap_.empty() ? kTimeInfinity : heap_.TopTime()); }
 
   // True if the calendar holds the earliest event by (time, seq).

@@ -448,106 +448,130 @@ TEST(CalendarQueueTest, ReanchorsAfterIdleStretch) {
 // sorted-reference model.
 // A deliberately tiny calendar (8 buckets x 1024 ps = 8192 ps horizon)
 // forces constant bucket wraps and frequent overflow-to-heap, while delays
-// of 0 generate (time, seq) ties across tiers.
+// of 0 generate (time, seq) ties across tiers. Wider buckets on the same
+// delays collect hundreds of entries at a time, so each bucket is sorted by
+// the radix passes: 2^15 ps buckets split the time offset into an 8- and a
+// 7-bit digit, 2^24 ps buckets into two 12-bit digits. A dense opening —
+// several hundred entries on a few dozen random ticks of one window — fills
+// one bucket far past a chunk before anything pops.
 TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    EventQueue q;
-    ASSERT_TRUE(q.ConfigureCalendar(10, 8));
-    std::vector<RefEntry> ref;
-    std::vector<int> fired;
-    std::vector<std::pair<TimerId, int>> live_timers;
-    uint64_t next_seq = 0;
-    TimePs now = 0;
+  for (const int width_bits : {10, 15, 24}) {
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE(testing::Message() << "width_bits=" << width_bits << " seed=" << seed);
+      Rng rng(seed);
+      EventQueue q;
+      ASSERT_TRUE(q.ConfigureCalendar(width_bits, 8));
+      std::vector<RefEntry> ref;
+      std::vector<int> fired;
+      std::vector<std::pair<TimerId, int>> live_timers;
+      uint64_t next_seq = 0;
+      TimePs now = 0;
 
-    auto random_delay = [&rng]() -> TimePs {
-      switch (rng.Below(8)) {
-        case 0:
-          return 0;  // tie on time with whatever pops next
-        case 1:
-        case 2:
-        case 3:
-          return static_cast<TimePs>(rng.Below(2'000));  // in-horizon
-        case 4:
-        case 5:
-          return static_cast<TimePs>(rng.Below(20'000));  // wrap + overflow
-        case 6:
-          return static_cast<TimePs>(rng.Below(2 * kMicrosecond));
-        default:
-          return static_cast<TimePs>(rng.Below(kMillisecond));  // far overflow
+      auto random_delay = [&rng]() -> TimePs {
+        switch (rng.Below(8)) {
+          case 0:
+            return 0;  // tie on time with whatever pops next
+          case 1:
+          case 2:
+          case 3:
+            return static_cast<TimePs>(rng.Below(2'000));  // in-horizon
+          case 4:
+          case 5:
+            return static_cast<TimePs>(rng.Below(20'000));  // wrap + overflow
+          case 6:
+            return static_cast<TimePs>(rng.Below(2 * kMicrosecond));
+          default:
+            return static_cast<TimePs>(rng.Below(kMillisecond));  // far overflow
+        }
+      };
+
+      auto fire = [&ref, &fired](int id) {
+        EXPECT_FALSE(ref[static_cast<size_t>(id)].cancelled);
+        EXPECT_FALSE(ref[static_cast<size_t>(id)].fired);
+        ref[static_cast<size_t>(id)].fired = true;
+        fired.push_back(id);
+      };
+
+      // Dense opening: 400 entries on 64 random ticks of the first window.
+      std::vector<TimePs> ticks(64);
+      for (TimePs& tick : ticks) {
+        tick = static_cast<TimePs>(rng.Below(uint64_t{1} << width_bits));
       }
-    };
+      for (int i = 0; i < 400; ++i) {
+        const int id = static_cast<int>(ref.size());
+        const TimePs at = ticks[rng.Below(ticks.size())];
+        ref.push_back(RefEntry{at, next_seq++, id, false, false});
+        if (i % 8 == 0) {
+          q.ScheduleAt(at, [&fire, id] { fire(id); });
+        } else {
+          q.ScheduleLineRate(at, [&fire, id] { fire(id); });
+        }
+      }
 
-    auto fire = [&ref, &fired](int id) {
-      EXPECT_FALSE(ref[static_cast<size_t>(id)].cancelled);
-      EXPECT_FALSE(ref[static_cast<size_t>(id)].fired);
-      ref[static_cast<size_t>(id)].fired = true;
-      fired.push_back(id);
-    };
-
-    for (int op = 0; op < 20'000; ++op) {
-      const uint64_t dice = rng.Below(100);
-      if (dice < 35) {  // line-rate event (calendar or overflow)
-        const int id = static_cast<int>(ref.size());
-        const TimePs at = now + random_delay();
-        ref.push_back(RefEntry{at, next_seq++, id, false, false});
-        q.ScheduleLineRate(at, [&fire, id] { fire(id); });
-      } else if (dice < 55) {  // timer
-        const int id = static_cast<int>(ref.size());
-        const TimePs at = now + random_delay();
-        ref.push_back(RefEntry{at, next_seq++, id, false, false});
-        live_timers.emplace_back(q.ScheduleTimer(at, [&fire, id] { fire(id); }), id);
-      } else if (dice < 65) {  // one-shot
-        const int id = static_cast<int>(ref.size());
-        const TimePs at = now + random_delay();
-        ref.push_back(RefEntry{at, next_seq++, id, false, false});
-        q.ScheduleAt(at, [&fire, id] { fire(id); });
-      } else if (dice < 75) {  // cancel a (possibly stale) timer handle
-        if (!live_timers.empty()) {
-          const size_t pick = static_cast<size_t>(rng.Below(live_timers.size()));
-          auto [handle, id] = live_timers[pick];
-          RefEntry& entry = ref[static_cast<size_t>(id)];
-          const bool expect_ok = !entry.fired && !entry.cancelled;
-          EXPECT_EQ(q.CancelTimer(handle), expect_ok) << "id=" << id;
-          if (expect_ok) {
-            entry.cancelled = true;
+      for (int op = 0; op < 20'000; ++op) {
+        const uint64_t dice = rng.Below(100);
+        if (dice < 35) {  // line-rate event (calendar or overflow)
+          const int id = static_cast<int>(ref.size());
+          const TimePs at = now + random_delay();
+          ref.push_back(RefEntry{at, next_seq++, id, false, false});
+          q.ScheduleLineRate(at, [&fire, id] { fire(id); });
+        } else if (dice < 55) {  // timer
+          const int id = static_cast<int>(ref.size());
+          const TimePs at = now + random_delay();
+          ref.push_back(RefEntry{at, next_seq++, id, false, false});
+          live_timers.emplace_back(q.ScheduleTimer(at, [&fire, id] { fire(id); }), id);
+        } else if (dice < 65) {  // one-shot
+          const int id = static_cast<int>(ref.size());
+          const TimePs at = now + random_delay();
+          ref.push_back(RefEntry{at, next_seq++, id, false, false});
+          q.ScheduleAt(at, [&fire, id] { fire(id); });
+        } else if (dice < 75) {  // cancel a (possibly stale) timer handle
+          if (!live_timers.empty()) {
+            const size_t pick = static_cast<size_t>(rng.Below(live_timers.size()));
+            auto [handle, id] = live_timers[pick];
+            RefEntry& entry = ref[static_cast<size_t>(id)];
+            const bool expect_ok = !entry.fired && !entry.cancelled;
+            EXPECT_EQ(q.CancelTimer(handle), expect_ok) << "id=" << id;
+            if (expect_ok) {
+              entry.cancelled = true;
+            }
+            live_timers.erase(live_timers.begin() + static_cast<long>(pick));
           }
-          live_timers.erase(live_timers.begin() + static_cast<long>(pick));
-        }
-      } else {  // pop one event
-        if (!q.empty()) {
-          TimePs t = 0;
-          EventQueue::Callback cb = q.Pop(&t);
-          EXPECT_GE(t, now);
-          now = t;
-          cb();
+        } else {  // pop one event
+          if (!q.empty()) {
+            TimePs t = 0;
+            EventQueue::Callback cb = q.Pop(&t);
+            EXPECT_GE(t, now);
+            now = t;
+            cb();
+          }
         }
       }
-    }
 
-    while (!q.empty()) {
-      TimePs t = 0;
-      EventQueue::Callback cb = q.Pop(&t);
-      EXPECT_GE(t, now);
-      now = t;
-      cb();
-    }
-
-    EXPECT_GT(q.calendar_scheduled(), 0u) << "seed=" << seed;
-    EXPECT_GT(q.heap_scheduled(), 0u) << "seed=" << seed;  // incl. overflow
-
-    std::vector<RefEntry> expected;
-    for (const RefEntry& e : ref) {
-      if (!e.cancelled) {
-        expected.push_back(e);
+      while (!q.empty()) {
+        TimePs t = 0;
+        EventQueue::Callback cb = q.Pop(&t);
+        EXPECT_GE(t, now);
+        now = t;
+        cb();
       }
-    }
-    std::sort(expected.begin(), expected.end(), [](const RefEntry& a, const RefEntry& b) {
-      return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-    });
-    ASSERT_EQ(fired.size(), expected.size()) << "seed=" << seed;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(fired[i], expected[i].id) << "seed=" << seed << " position=" << i;
+
+      EXPECT_GT(q.calendar_scheduled(), 0u) << "seed=" << seed;
+      EXPECT_GT(q.heap_scheduled(), 0u) << "seed=" << seed;  // incl. overflow
+
+      std::vector<RefEntry> expected;
+      for (const RefEntry& e : ref) {
+        if (!e.cancelled) {
+          expected.push_back(e);
+        }
+      }
+      std::sort(expected.begin(), expected.end(), [](const RefEntry& a, const RefEntry& b) {
+        return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+      });
+      ASSERT_EQ(fired.size(), expected.size()) << "seed=" << seed;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(fired[i], expected[i].id) << "seed=" << seed << " position=" << i;
+      }
     }
   }
 }

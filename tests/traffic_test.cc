@@ -299,7 +299,7 @@ TEST(AdaptiveRoutingEffectiveDepthTest, ExogenousPressureSteersSelection) {
 // --------------------------------------------------------------------------
 // BackgroundTrafficEngine: epoch cadence, stats, stop semantics
 
-TEST(BackgroundEngineTest, AppliesEpochZeroOnStartAndTicksOnTheWheel) {
+TEST(BackgroundEngineTest, AppliesEpochZeroOnStartAndTicksEveryEpoch) {
   PortHarness h;
   auto model = std::make_unique<FluidTrafficModel>([] {
     FluidModelConfig c;
