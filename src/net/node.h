@@ -53,10 +53,16 @@ class Node {
   NodeKind kind() const { return kind_; }
   const std::string& name() const { return name_; }
 
+  // How many of this node's ports are failed; Port::set_failed keeps it.
+  int failed_ports() const { return failed_ports_; }
+
  private:
+  friend class Port;  // keeps failed_ports_
+
   Simulator* sim_;
   int id_;
   NodeKind kind_;
+  uint16_t failed_ports_ = 0;  // in the padding after kind_
   std::string name_;
   // Arena members precede ports_ so port queues are destroyed before the
   // (possibly owned) arena their nodes live in.

@@ -66,6 +66,7 @@ void Port::set_failed(bool failed) {
     return;
   }
   failed_ = failed;
+  owner_->failed_ports_ += failed ? 1 : -1;
   // Restore must restart transmission: packets queued behind the failed port
   // are parked (StartNextTransmission bails while failed), and without this
   // kick they would wait for the next unrelated enqueue on this port.

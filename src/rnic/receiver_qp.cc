@@ -22,10 +22,11 @@ void ReceiverQp::HandleData(const Packet& pkt) {
     const uint32_t arrived_psn = pkt.psn;
     epsn_ = PsnAdd(epsn_, 1);
     nacked_current_epsn_ = false;
-    for (auto it = ooo_received_.find(epsn_); it != ooo_received_.end();
-         it = ooo_received_.find(epsn_)) {
-      AcceptInOrder(it->second);
-      ooo_received_.erase(it);
+    while (held_ != 0 && (ooo_ring_[epsn_].flags & kHeld) != 0) {
+      PsnSlot& slot = ooo_ring_[epsn_];
+      AcceptInOrder(slot.payload);
+      slot.flags = 0;
+      --held_;
       epsn_ = PsnAdd(epsn_, 1);
     }
     if (config_.transport == TransportKind::kMultipath) {
@@ -51,9 +52,7 @@ void ReceiverQp::HandleData(const Packet& pkt) {
         }
         return;
       case TransportKind::kNicSr: {
-        auto [it, inserted] = ooo_received_.emplace(pkt.psn, pkt.payload_bytes);
-        (void)it;
-        if (!inserted) {
+        if (!Hold(pkt, delta)) {
           // Spurious retransmission of a packet already sitting in the
           // bitmap: pure waste.
           ++stats_.duplicates;
@@ -69,9 +68,7 @@ void ReceiverQp::HandleData(const Packet& pkt) {
         return;
       }
       case TransportKind::kIdeal: {
-        auto [it, inserted] = ooo_received_.emplace(pkt.psn, pkt.payload_bytes);
-        (void)it;
-        if (!inserted) {
+        if (!Hold(pkt, delta)) {
           ++stats_.duplicates;
           stats_.duplicate_bytes += pkt.wire_bytes;
         }
@@ -81,9 +78,7 @@ void ReceiverQp::HandleData(const Packet& pkt) {
         return;
       }
       case TransportKind::kIrn: {
-        auto [it, inserted] = ooo_received_.emplace(pkt.psn, pkt.payload_bytes);
-        (void)it;
-        if (!inserted) {
+        if (!Hold(pkt, delta)) {
           ++stats_.duplicates;
           stats_.duplicate_bytes += pkt.wire_bytes;
           SendAck();
@@ -95,9 +90,7 @@ void ReceiverQp::HandleData(const Packet& pkt) {
         return;
       }
       case TransportKind::kMultipath: {
-        auto [it, inserted] = ooo_received_.emplace(pkt.psn, pkt.payload_bytes);
-        (void)it;
-        if (!inserted) {
+        if (!Hold(pkt, delta)) {
           ++stats_.duplicates;
           stats_.duplicate_bytes += pkt.wire_bytes;
         }
@@ -115,6 +108,18 @@ void ReceiverQp::HandleData(const Packet& pkt) {
   ++stats_.duplicates;
   stats_.duplicate_bytes += pkt.wire_bytes;
   SendAck();
+}
+
+bool ReceiverQp::Hold(const Packet& pkt, int32_t delta) {
+  // Growth moves [ePSN, ePSN + old size): every held PSN and ePSN's empty slot.
+  ooo_ring_.Reserve(static_cast<uint32_t>(delta) + 1, epsn_, ooo_ring_.size());
+  PsnSlot& slot = ooo_ring_[pkt.psn];
+  if ((slot.flags & kHeld) != 0) {
+    return false;
+  }
+  slot = PsnSlot{pkt.payload_bytes, kHeld};
+  ++held_;
+  return true;
 }
 
 void ReceiverQp::AcceptInOrder(uint32_t payload_bytes) {
@@ -143,7 +148,7 @@ void ReceiverQp::DeliverReadyMessages() {
 void ReceiverQp::SendAck() {
   ++stats_.acks_sent;
   TraceRnic(host_->sim(), RnicTrace::kAckTx, static_cast<uint16_t>(host_->id()), flow_id_,
-            epsn_, ooo_received_.size());
+            epsn_, held_);
   host_->SendControl(
       MakeControlPacket(PacketType::kAck, flow_id_, host_->id(), src_host_, epsn_,
                         config_.udp_sport));
@@ -154,7 +159,7 @@ void ReceiverQp::SendNack() {
   // packet that triggered it. Themis-D must reconstruct that tPSN itself.
   ++stats_.nacks_sent;
   TraceRnic(host_->sim(), RnicTrace::kNackTx, static_cast<uint16_t>(host_->id()), flow_id_,
-            epsn_, ooo_received_.size());
+            epsn_, held_);
   host_->SendControl(
       MakeControlPacket(PacketType::kNack, flow_id_, host_->id(), src_host_, epsn_,
                         config_.udp_sport));
@@ -165,7 +170,7 @@ void ReceiverQp::SendIrnNack(uint32_t trigger_psn) {
   // that triggered it (the very information commodity NACKs omit).
   ++stats_.nacks_sent;
   TraceRnic(host_->sim(), RnicTrace::kNackTx, static_cast<uint16_t>(host_->id()), flow_id_,
-            epsn_, ooo_received_.size());
+            epsn_, held_);
   Packet nack = MakeControlPacket(PacketType::kNack, flow_id_, host_->id(), src_host_,
                                   epsn_, config_.udp_sport);
   nack.aux_psn = trigger_psn & kPsnMask;

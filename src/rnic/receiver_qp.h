@@ -3,7 +3,8 @@
 //
 // kNicSr models current-generation commodity RNICs:
 //  * maintains ePSN; everything below ePSN has been received;
-//  * OOO packets (PSN > ePSN) are kept in a bitmap (here: hash map);
+//  * OOO packets (PSN > ePSN) are kept in a bitmap indexed by their offset
+//    from the ePSN (here: a PSN-indexed ring of payload slots);
 //  * an OOO arrival triggers a NACK carrying *only the ePSN*, and each ePSN
 //    triggers at most one NACK no matter how many OOO packets arrive;
 //  * duplicates are acknowledged so the sender can advance.
@@ -15,10 +16,10 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
 
 #include "src/net/packet.h"
 #include "src/net/psn.h"
+#include "src/rnic/psn_ring.h"
 #include "src/rnic/qp_config.h"
 #include "src/sim/simulator.h"
 
@@ -56,13 +57,16 @@ class ReceiverQp {
   uint32_t epsn() const { return epsn_; }
   uint64_t in_order_bytes() const { return in_order_bytes_; }
   // Current OOO-bitmap occupancy (packets held ahead of ePSN); telemetry gauge.
-  size_t ooo_depth() const { return ooo_received_.size(); }
+  size_t ooo_depth() const { return held_; }
   uint32_t flow_id() const { return flow_id_; }
   int src_host() const { return src_host_; }
   const ReceiverQpStats& stats() const { return stats_; }
   const QpConfig& config() const { return config_; }
 
  private:
+  // Keeps the OOO packet `delta` PSNs ahead of ePSN; false if it was
+  // already held.
+  bool Hold(const Packet& pkt, int32_t delta);
   void AcceptInOrder(uint32_t payload_bytes);
   void DeliverReadyMessages();
   void SendAck();
@@ -77,8 +81,12 @@ class ReceiverQp {
   QpConfig config_;
 
   uint32_t epsn_ = 0;
-  // OOO packets received ahead of ePSN (NIC-SR / ideal): psn -> payload.
-  std::unordered_map<uint32_t, uint32_t> ooo_received_;
+  // OOO packets received ahead of ePSN (every transport but go-back-N). A
+  // held PSN is in (ePSN, ePSN + ring size) with kHeld set in its slot; the
+  // in-order path clears each slot as ePSN passes it.
+  static constexpr uint8_t kHeld = 1;
+  PsnRing ooo_ring_;
+  uint32_t held_ = 0;
   // One-NACK-per-ePSN rule: set when a NACK for the *current* ePSN has been
   // generated; cleared whenever ePSN advances.
   bool nacked_current_epsn_ = false;

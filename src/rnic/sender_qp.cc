@@ -56,8 +56,7 @@ bool SenderQp::HasWork() {
   // Drop retransmit entries that were cumulatively acknowledged after being
   // queued; otherwise a stale entry would make this claim work that
   // DequeuePacket() cannot deliver.
-  while (!rtx_queue_.empty() && unacked_.find(rtx_queue_.front()) == unacked_.end()) {
-    rtx_members_.erase(rtx_queue_.front());
+  while (!rtx_queue_.empty() && !InFlight(rtx_queue_.front())) {
     rtx_queue_.pop_front();
   }
   if (!rtx_queue_.empty()) {
@@ -78,13 +77,13 @@ Packet SenderQp::DequeuePacket() {
   while (!rtx_queue_.empty()) {
     const uint32_t candidate = rtx_queue_.front();
     rtx_queue_.pop_front();
-    rtx_members_.erase(candidate);
-    auto it = unacked_.find(candidate);
-    if (it == unacked_.end()) {
+    if (!InFlight(candidate)) {
       continue;  // acknowledged while queued for retransmit
     }
+    PsnSlot& slot = ring_[candidate];
+    slot.flags &= ~kRtxQueued;
     psn = candidate;
-    payload = it->second;
+    payload = slot.payload;
     is_rtx = true;
     break;
   }
@@ -94,9 +93,11 @@ Packet SenderQp::DequeuePacket() {
     PendingMessage& msg = post_queue_.front();
     payload = static_cast<uint32_t>(
         std::min<uint64_t>(config_.PayloadPerPacket(), msg.remaining));
+    const uint32_t in_flight = InFlightCount();
+    ring_.Reserve(in_flight + 1, snd_una_, in_flight);
     psn = snd_nxt_;
     snd_nxt_ = PsnAdd(snd_nxt_, 1);
-    unacked_.emplace(psn, payload);
+    ring_[psn] = PsnSlot{payload, 0};
     unacked_bytes_ += payload;
     msg.remaining -= payload;
     if (msg.remaining == 0) {
@@ -132,10 +133,12 @@ Packet SenderQp::DequeuePacket() {
 }
 
 void SenderQp::EnqueueRetransmit(uint32_t psn) {
-  if (unacked_.find(psn) == unacked_.end()) {
+  if (!InFlight(psn)) {
     return;  // already acknowledged
   }
-  if (rtx_members_.insert(psn).second) {
+  uint8_t& flags = ring_[psn].flags;
+  if ((flags & kRtxQueued) == 0) {
+    flags |= kRtxQueued;
     rtx_queue_.push_back(psn);
   }
 }
@@ -144,18 +147,14 @@ void SenderQp::AdvanceUna(uint32_t new_una) {
   if (!PsnGt(new_una, snd_una_)) {
     return;
   }
+  // Only in-flight PSNs carry bytes: an acknowledgment past snd_nxt_ (a
+  // receiver fed data this QP never sent) moves snd_una_ and credits nothing.
   uint64_t acked_bytes = 0;
-  while (PsnLt(snd_una_, new_una)) {
-    auto it = unacked_.find(snd_una_);
-    if (it != unacked_.end()) {
-      acked_bytes += it->second;
-      unacked_bytes_ -= it->second;
-      unacked_.erase(it);
-    }
-    sacked_.erase(snd_una_);
-    retransmitted_once_.erase(snd_una_);
-    snd_una_ = PsnAdd(snd_una_, 1);
+  for (; PsnLt(snd_una_, new_una) && PsnLt(snd_una_, snd_nxt_); snd_una_ = PsnAdd(snd_una_, 1)) {
+    acked_bytes += ring_[snd_una_].payload;
   }
+  unacked_bytes_ -= static_cast<int64_t>(acked_bytes);
+  snd_una_ = new_una;
   head_rtx_fired_ = false;  // a new head: head-loss detection re-arms
   cc_->OnAck(acked_bytes);
 
@@ -192,16 +191,14 @@ void SenderQp::ProcessSack(uint32_t sacked_psn) {
   if (PsnLt(sacked_psn, snd_una_)) {
     return;  // already cumulatively covered
   }
-  if (sacked_.insert(sacked_psn).second) {
-    if (!any_sacked_ || PsnGt(sacked_psn, highest_sacked_)) {
-      highest_sacked_ = sacked_psn;
-      any_sacked_ = true;
-    }
+  if (!any_sacked_ || PsnGt(sacked_psn, highest_sacked_)) {
+    highest_sacked_ = sacked_psn;
+    any_sacked_ = true;
   }
   // Head-loss detection: if packets far beyond the unacknowledged head have
   // been selectively acknowledged, the head has been overtaken by more than
   // the fabric's reordering depth — declare it lost and retransmit it.
-  if (any_sacked_ && !head_rtx_fired_ && !unacked_.empty() &&
+  if (any_sacked_ && !head_rtx_fired_ && InFlightCount() != 0 &&
       PsnDiff(highest_sacked_, snd_una_) >
           static_cast<int32_t>(config_.multipath_reorder_threshold)) {
     head_rtx_fired_ = true;
@@ -230,8 +227,8 @@ void SenderQp::HandleNack(const Packet& nack) {
       // state; without this every subsequent per-OOO NACK would refire the
       // same gap).
       for (uint32_t psn = nack.psn; PsnLt(psn, nack.aux_psn); psn = PsnAdd(psn, 1)) {
-        if (unacked_.count(psn) != 0 && retransmitted_once_.count(psn) == 0) {
-          retransmitted_once_.insert(psn);
+        if (InFlight(psn) && (ring_[psn].flags & kRtxOnce) == 0) {
+          ring_[psn].flags |= kRtxOnce;
           EnqueueRetransmit(psn);
         }
       }
@@ -259,7 +256,7 @@ void SenderQp::HandleCnp(const Packet& cnp) {
 }
 
 void SenderQp::OnRetransmitTimeout() {
-  if (unacked_.empty()) {
+  if (InFlightCount() == 0) {
     return;
   }
   // The timer is armed lazily: if progress happened since arming, push the
@@ -288,7 +285,7 @@ void SenderQp::OnRetransmitTimeout() {
 
 void SenderQp::ResetRtoIfNeeded() {
   last_progress_time_ = host_->sim()->now();
-  if (unacked_.empty()) {
+  if (InFlightCount() == 0) {
     rto_timer_.Cancel();
   } else if (!rto_timer_.armed()) {
     rto_timer_.Arm(config_.retransmit_timeout);

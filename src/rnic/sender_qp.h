@@ -12,12 +12,11 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/cc/congestion_control.h"
 #include "src/net/packet.h"
 #include "src/net/psn.h"
+#include "src/rnic/psn_ring.h"
 #include "src/rnic/qp_config.h"
 #include "src/sim/simulator.h"
 
@@ -128,19 +127,30 @@ class SenderQp {
   std::deque<CompletionRecord> completions_;
   bool current_message_open_ = false;  // front of post_queue_ has sent >=1 pkt
 
+  // Whether `psn` has been sent and not yet cumulatively acknowledged.
+  bool InFlight(uint32_t psn) const { return PsnLe(snd_una_, psn) && PsnLt(psn, snd_nxt_); }
+  uint32_t InFlightCount() const {
+    return PsnLt(snd_una_, snd_nxt_) ? static_cast<uint32_t>(PsnDiff(snd_nxt_, snd_una_)) : 0;
+  }
+
   uint32_t snd_una_ = 0;  // oldest unacknowledged PSN
   uint32_t snd_nxt_ = 0;  // next fresh PSN
-  std::unordered_map<uint32_t, uint32_t> unacked_;  // psn -> payload bytes
+  // Payload and flags of each in-flight PSN, [snd_una_, snd_nxt_). A slot's
+  // flags are reset when a fresh PSN takes it and read only while its PSN is
+  // in flight, so stale rtx_queue_ entries leave nothing behind.
+  PsnRing ring_;
   int64_t unacked_bytes_ = 0;
 
-  std::deque<uint32_t> rtx_queue_;
-  std::unordered_set<uint32_t> rtx_members_;
-  // kIrn / kMultipath: PSNs already retransmitted once since they were last
-  // (re)sent — prevents every further NACK/SACK from re-firing the same gap.
-  std::unordered_set<uint32_t> retransmitted_once_;
+  // Slot flags.
+  static constexpr uint8_t kRtxQueued = 1;  // in rtx_queue_
+  // kIrn: retransmitted once since it was sent — prevents every further
+  // NACK from re-firing the same gap.
+  static constexpr uint8_t kRtxOnce = 2;
 
-  // kMultipath selective-ack state.
-  std::unordered_set<uint32_t> sacked_;
+  std::deque<uint32_t> rtx_queue_;
+
+  // kMultipath selective-ack state. A repeated SACK needs no per-PSN record:
+  // highest_sacked_ only rises, so a PSN SACKed before cannot raise it.
   uint32_t highest_sacked_ = 0;
   bool any_sacked_ = false;
   bool head_rtx_fired_ = false;  // head-loss retransmit armed once per una

@@ -54,8 +54,14 @@ class Rate {
       return 0;
     }
     const int64_t bits = bytes * 8;
-    // bits / bps * 1e12, computed as integer math without overflow for any
-    // realistic packet size (bits < 2^40, 1e12 < 2^40 -> use __int128).
+    // bits / bps * 1e12, rounded up, in integer math without overflow. Below
+    // 2^23 bits (every packet) the product is under 2^63 and the sum under
+    // 2^64, so 64-bit division suffices; larger inputs (bits < 2^40,
+    // 1e12 < 2^40) take __int128.
+    if (static_cast<uint64_t>(bits) < (uint64_t{1} << 23)) {
+      const uint64_t bps = static_cast<uint64_t>(bps_);
+      return static_cast<TimePs>((static_cast<uint64_t>(bits) * kSecond + bps - 1) / bps);
+    }
     const __int128 numer = static_cast<__int128>(bits) * kSecond;
     return static_cast<TimePs>((numer + bps_ - 1) / bps_);
   }

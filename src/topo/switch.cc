@@ -37,7 +37,9 @@ void Switch::Forward(const Packet& pkt) {
   std::span<Port* const> candidates = RouteCandidates(pkt.dst_host);
   // The common case has no failed candidate and chooses from the set itself;
   // otherwise the live ones are copied into storage that grows with the set.
-  if (AnyFailed(candidates)) {
+  // Candidates are this switch's own ports, so while none of them has failed
+  // the scan is skipped.
+  if (failed_ports() != 0 && AnyFailed(candidates)) {
     live_candidates_.clear();
     std::copy_if(candidates.begin(), candidates.end(), std::back_inserter(live_candidates_),
                  [](const Port* port) { return !port->failed(); });

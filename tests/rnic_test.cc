@@ -1,10 +1,13 @@
 // Unit tests for the RNIC model: packetization, pacing, NIC-SR / GBN /
 // ideal receiver behaviour, NACK semantics (one per ePSN), retransmission,
-// RTO, CNP generation, and the NIC scheduler.
+// RTO, CNP generation, the NIC scheduler, and the per-PSN ring.
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/net/network.h"
+#include "src/rnic/psn_ring.h"
 #include "src/rnic/rnic_host.h"
 
 namespace themis {
@@ -54,6 +57,47 @@ struct RnicHarness {
 };
 
 constexpr uint32_t kMtuPayload = 1500 - kHeaderBytes;  // 1436
+
+// --- PSN ring ------------------------------------------------------------------
+
+TEST(PsnRingTest, AllocatesNothingUntilFirstReserve) {
+  PsnRing ring;
+  EXPECT_EQ(ring.size(), 0u);
+  ring.Reserve(1, 0, 0);
+  EXPECT_EQ(ring.size(), PsnRing::kMinSize);
+  ring.Reserve(PsnRing::kMinSize, 0, 0);  // fits: no growth
+  EXPECT_EQ(ring.size(), PsnRing::kMinSize);
+}
+
+TEST(PsnRingTest, GrowthAcrossPsnWrapMovesEveryLivePsn) {
+  // Live PSNs 2^24 - 3 ... 2 straddle the 24-bit wrap.
+  const uint32_t first = kPsnSpace - 3;
+  constexpr uint32_t kLive = 6;
+  PsnRing ring;
+  ring.Reserve(kLive, first, 0);
+  ASSERT_EQ(ring.size(), PsnRing::kMinSize);
+  // Stale contents in every other slot must not survive a growth.
+  for (uint32_t slot = 0; slot < ring.size(); ++slot) {
+    ring[slot] = PsnSlot{999, 0x80};
+  }
+  for (uint32_t i = 0; i < kLive; ++i) {
+    ring[PsnAdd(first, i)] = PsnSlot{i + 1, static_cast<uint8_t>(i)};
+  }
+  for (const uint32_t needed : {PsnRing::kMinSize + 1, uint32_t{1} << 20}) {
+    ring.Reserve(needed, first, kLive);
+    ASSERT_GE(ring.size(), needed);
+    ASSERT_EQ(ring.size() & (ring.size() - 1), 0u) << "not a power of two";
+    // Slot index == PSN mod size: the run stays consecutive across the wrap
+    // (slots size-3 .. size-1, then 0 .. 2).
+    for (uint32_t slot = 0; slot < ring.size(); ++slot) {
+      const uint32_t offset = (slot - first) & (ring.size() - 1);
+      const PsnSlot expected =
+          offset < kLive ? PsnSlot{offset + 1, static_cast<uint8_t>(offset)} : PsnSlot{};
+      ASSERT_EQ(ring[slot].payload, expected.payload) << "slot " << slot << " size " << ring.size();
+      ASSERT_EQ(ring[slot].flags, expected.flags) << "slot " << slot << " size " << ring.size();
+    }
+  }
+}
 
 // --- Sender packetization ----------------------------------------------------
 
@@ -247,6 +291,80 @@ TEST(SenderQpTest, NoRtoAfterFullAck) {
   EXPECT_FALSE(flow.tx->HasWork());
 }
 
+TEST(SenderQpTest, AckPastSndNxtAdvancesUnaAndCreditsOnlyInFlightBytes) {
+  // A receiver fed data this QP never sent acknowledges past snd_nxt.
+  // snd_una follows the acknowledgment; only the in-flight bytes are
+  // credited, and no retransmit timer stays armed.
+  RnicHarness h;
+  auto flow = h.MakeManualFlow(1, RnicHarness::Config());
+  flow.tx->HandleAck(MakeControlPacket(PacketType::kAck, 1, h.b->id(), h.a->id(), 3, 0));
+  EXPECT_EQ(flow.tx->snd_una(), 3u);  // nothing ever sent: no ring to read
+  EXPECT_EQ(flow.tx->snd_nxt(), 0u);
+  EXPECT_EQ(flow.tx->unacked_bytes(), 0);
+
+  RnicHarness h2;
+  auto flow2 = h2.MakeManualFlow(1, RnicHarness::Config());
+  bool done = false;
+  flow2.tx->PostMessage(3 * kMtuPayload + 10, [&] { done = true; });
+  for (int i = 0; i < 3; ++i) {
+    flow2.tx->DequeuePacket();
+  }
+  EXPECT_EQ(flow2.tx->unacked_bytes(), int64_t{3} * kMtuPayload);
+  flow2.tx->HandleAck(MakeControlPacket(PacketType::kAck, 1, h2.b->id(), h2.a->id(), 10, 0));
+  EXPECT_EQ(flow2.tx->snd_una(), 10u);
+  EXPECT_EQ(flow2.tx->snd_nxt(), 3u);
+  EXPECT_EQ(flow2.tx->unacked_bytes(), 0);
+  EXPECT_FALSE(done);  // the message's last packet is still unsent
+  h2.sim.RunUntil(10 * kMillisecond);
+  EXPECT_EQ(flow2.tx->stats().timeouts, 0u);
+}
+
+TEST(SenderQpTest, RingGrowthKeepsIrnRetransmittedOnceFlags) {
+  for (const uint32_t in_flight : {100u, 20'000u}) {
+    RnicHarness h;
+    QpConfig config = RnicHarness::Config(TransportKind::kIrn);
+    config.max_unacked_bytes = int64_t{1} << 40;
+    auto flow = h.MakeManualFlow(1, config);
+    flow.tx->PostMessage(uint64_t{in_flight} * kMtuPayload, nullptr);
+    for (int i = 0; i < 60; ++i) {
+      flow.tx->DequeuePacket();  // within the first 64-slot ring
+    }
+    Packet nack = MakeControlPacket(PacketType::kNack, 1, h.b->id(), h.a->id(), 1, 0);
+    nack.aux_psn = 10;
+    flow.tx->HandleNack(nack);
+    for (uint32_t psn = 1; psn < 10; ++psn) {
+      const Packet pkt = flow.tx->DequeuePacket();
+      EXPECT_TRUE(pkt.retransmission);
+      EXPECT_EQ(pkt.psn, psn);
+    }
+    while (flow.tx->snd_nxt() != in_flight) {
+      EXPECT_FALSE(flow.tx->DequeuePacket().retransmission);  // grows the ring
+    }
+    EXPECT_EQ(flow.tx->unacked_bytes(), int64_t{in_flight - 1} * kMtuPayload) << in_flight;
+
+    flow.tx->HandleNack(nack);  // [1, 10) was retransmitted once already
+    EXPECT_FALSE(flow.tx->HasWork()) << in_flight;
+    nack.aux_psn = 12;
+    flow.tx->HandleNack(nack);
+    std::vector<uint32_t> rtx;
+    while (flow.tx->HasWork()) {
+      rtx.push_back(flow.tx->DequeuePacket().psn);
+    }
+    EXPECT_EQ(rtx, (std::vector<uint32_t>{10, 11})) << in_flight;
+
+    // A gap at the far end of the grown ring; the NACK acknowledges the rest.
+    nack.psn = in_flight - 3;
+    nack.aux_psn = in_flight;
+    flow.tx->HandleNack(nack);
+    EXPECT_EQ(flow.tx->unacked_bytes(), int64_t{3} * kMtuPayload) << in_flight;
+    rtx.clear();
+    while (flow.tx->HasWork()) {
+      rtx.push_back(flow.tx->DequeuePacket().psn);
+    }
+    EXPECT_EQ(rtx, (std::vector<uint32_t>{in_flight - 3, in_flight - 2, in_flight - 1}));
+  }
+}
+
 // --- Receiver behaviour -------------------------------------------------------
 
 Packet Data(uint32_t flow, const RnicHarness& h, uint32_t psn, uint32_t payload = kMtuPayload) {
@@ -399,6 +517,46 @@ TEST(ReceiverQpTest, PsnWraparoundHandled) {
   EXPECT_EQ(flow.rx->epsn(), 1u);
 }
 
+TEST(ReceiverQpTest, FarAheadArrivalThenGapFilledInOrder) {
+  RnicHarness h;
+  auto flow = h.MakeFlow(1, RnicHarness::Config());
+  // Three PSNs held in the first 64-slot ring, then one 5,000 PSNs ahead of
+  // ePSN grows it. Held packets carry distinct payloads.
+  std::set<uint32_t> held;
+  auto payload_of = [&](uint32_t psn) {
+    return held.count(psn) != 0 ? 100 + psn % 7 : kMtuPayload;
+  };
+  for (const uint32_t psn : {3u, 10u, 63u, 5000u}) {
+    held.insert(psn);
+    h.b->ReceivePacket(Data(1, h, psn, payload_of(psn)), 0);
+    EXPECT_EQ(flow.rx->ooo_depth(), held.size());
+    EXPECT_EQ(flow.rx->epsn(), 0u);
+  }
+  // A repeat of a held PSN after the growth is a duplicate.
+  h.b->ReceivePacket(Data(1, h, 10, payload_of(10)), 0);
+  EXPECT_EQ(flow.rx->stats().duplicates, 1u);
+
+  uint64_t in_order = 0;
+  uint32_t epsn = 0;
+  for (uint32_t psn = 0; psn <= 5000; ++psn) {
+    if (held.count(psn) != 0) {
+      continue;
+    }
+    h.b->ReceivePacket(Data(1, h, psn, payload_of(psn)), 0);
+    while (epsn <= psn || held.count(epsn) != 0) {
+      in_order += payload_of(epsn);
+      ++epsn;
+    }
+    ASSERT_EQ(flow.rx->epsn(), epsn) << "psn " << psn;
+    ASSERT_EQ(flow.rx->ooo_depth(),
+              static_cast<size_t>(std::distance(held.lower_bound(epsn), held.end())))
+        << "psn " << psn;
+    ASSERT_EQ(flow.rx->in_order_bytes(), in_order) << "psn " << psn;
+  }
+  EXPECT_EQ(flow.rx->epsn(), 5001u);
+  EXPECT_EQ(flow.rx->ooo_depth(), 0u);
+}
+
 // --- IRN transport -------------------------------------------------------------
 
 TEST(IrnTest, NackCarriesTriggerPsn) {
@@ -544,6 +702,38 @@ TEST(MultipathTest, HeadRetransmitRearmsPerHole) {
   }
   ASSERT_TRUE(flow.tx->HasWork());
   EXPECT_EQ(flow.tx->DequeuePacket().psn, 5u);
+}
+
+TEST(MultipathTest, SackStateHoldsAcrossRingGrowth) {
+  for (const uint32_t in_flight : {100u, 20'000u}) {
+    RnicHarness h;
+    QpConfig config = RnicHarness::Config(TransportKind::kMultipath);
+    config.max_unacked_bytes = int64_t{1} << 40;
+    config.multipath_reorder_threshold = 50;
+    auto flow = h.MakeManualFlow(1, config);
+    flow.tx->PostMessage(uint64_t{in_flight} * kMtuPayload, nullptr);
+    auto sack = [&](uint32_t psn) {
+      Packet ack = MakeControlPacket(PacketType::kAck, 1, h.b->id(), h.a->id(), 0, 0);
+      ack.aux_psn = psn;
+      flow.tx->HandleAck(ack);
+    };
+    for (int i = 0; i < 60; ++i) {
+      flow.tx->DequeuePacket();  // within the first 64-slot ring
+    }
+    sack(40);  // reordering depth 40 <= 50: no head loss yet
+    while (flow.tx->snd_nxt() != in_flight) {
+      EXPECT_FALSE(flow.tx->DequeuePacket().retransmission);  // grows the ring
+    }
+    EXPECT_FALSE(flow.tx->HasWork());
+    sack(40);  // repeated SACK
+    EXPECT_FALSE(flow.tx->HasWork());
+    sack(in_flight - 1);  // far beyond the head: head loss, fired once
+    ASSERT_TRUE(flow.tx->HasWork());
+    EXPECT_EQ(flow.tx->DequeuePacket().psn, 0u);
+    sack(in_flight - 2);
+    EXPECT_FALSE(flow.tx->HasWork()) << in_flight;
+    EXPECT_EQ(flow.tx->unacked_bytes(), int64_t{in_flight} * kMtuPayload);
+  }
 }
 
 TEST(MultipathTest, EndToEndCompletes) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -39,6 +40,34 @@ TEST(RateTest, SerializationRoundsUp) {
   // 1 byte at 3 bps: 8/3 s -> rounds up.
   const Rate r(3);
   EXPECT_EQ(r.SerializationTime(1), (8 * kSecond + 2) / 3);
+}
+
+TEST(RateTest, SerializationTimeMatchesWideFormula) {
+  // Packet-sized inputs divide in 64 bits, larger ones in 128; both must
+  // equal the 128-bit round-up formula.
+  auto wide = [](Rate rate, int64_t bytes) {
+    const __int128 numer = static_cast<__int128>(bytes * 8) * kSecond;
+    return static_cast<TimePs>((numer + rate.bps() - 1) / rate.bps());
+  };
+  const Rate rates[] = {Rate(1), Rate(3), Rate::Gbps(100), Rate::Gbps(400),
+                        Rate::Gbps(1600)};
+  // 0 bytes, 2^20 - 1 bytes (2^23 - 8 bits, the largest 64-bit input) and
+  // 2^20 bytes (2^23 bits, the smallest 128-bit one).
+  for (const Rate rate : rates) {
+    for (const int64_t bytes : {int64_t{0}, (int64_t{1} << 20) - 1, int64_t{1} << 20}) {
+      EXPECT_EQ(rate.SerializationTime(bytes), wide(rate, bytes))
+          << rate.bps() << " bps, " << bytes << " B";
+    }
+  }
+  std::mt19937_64 gen(7);
+  std::uniform_int_distribution<int64_t> bytes_dist(0, int64_t{1} << 21);
+  std::uniform_int_distribution<int64_t> bps_dist(1, int64_t{4} << 40);
+  for (int i = 0; i < 100'000; ++i) {
+    const int64_t bytes = bytes_dist(gen);
+    const Rate rate(i % 2 == 0 ? bps_dist(gen) : rates[i / 2 % 5].bps());
+    ASSERT_EQ(rate.SerializationTime(bytes), wide(rate, bytes))
+        << rate.bps() << " bps, " << bytes << " B";
+  }
 }
 
 TEST(RateTest, ZeroRateIsInstant) { EXPECT_EQ(Rate().SerializationTime(12345), 0); }

@@ -182,6 +182,43 @@ TEST(SwitchTest, FailedUplinkExcludedFromCandidates) {
   EXPECT_EQ(dst->received.size(), 100u);
 }
 
+TEST(SwitchTest, FailedPortCountFollowsDownAndUp) {
+  LeafSpineHarness h(2, 4, 2);
+  InstallLoadBalancer(h.topo, LbKind::kRandomSpray);
+  Switch* tor0 = h.topo.tors[0];
+  StubHost* src = h.hosts[0];
+  StubHost* dst = h.hosts[2];
+  Port* port = tor0->RouteCandidates(dst->id())[1];
+  uint32_t psn = 0;
+  auto send_100 = [&] {
+    for (int i = 0; i < 100; ++i) {
+      src->port(0)->Send(MakeDataPacket(1, src->id(), dst->id(), psn++, 1000, 0x1234));
+    }
+    h.sim.Run();
+  };
+
+  EXPECT_EQ(tor0->failed_ports(), 0);
+  port->set_failed(true);
+  port->set_failed(true);  // down twice in a row counts once
+  EXPECT_EQ(tor0->failed_ports(), 1);
+  send_100();
+  EXPECT_EQ(port->stats().tx_packets, 0u);
+
+  port->set_failed(false);
+  EXPECT_EQ(tor0->failed_ports(), 0);
+  send_100();
+  const uint64_t carried = port->stats().tx_packets;
+  EXPECT_GT(carried, 0u);  // back among the candidates
+
+  port->set_failed(true);
+  EXPECT_EQ(tor0->failed_ports(), 1);
+  send_100();
+  EXPECT_EQ(port->stats().tx_packets, carried);
+  port->set_failed(false);
+  EXPECT_EQ(tor0->failed_ports(), 0);
+  EXPECT_EQ(dst->received.size(), 300u);
+}
+
 TEST(SwitchTest, AllUplinksFailedDropsWithStat) {
   LeafSpineHarness h(2, 2, 2);
   Switch* tor0 = h.topo.tors[0];
