@@ -303,13 +303,6 @@ TierBreakdown RunFig1Scale(int reps, bool burst_enabled) {
                 100.0 * static_cast<double>(b.burst_events) /
                     static_cast<double>(breakdown.events_executed),
                 static_cast<double>(b.burst_events) / static_cast<double>(b.bursts));
-    std::printf("  burst length histogram:");
-    for (size_t k = 0; k < SimBurstStats::kLenBuckets; ++k) {
-      std::printf(" le%llu=%llu",
-                  static_cast<unsigned long long>(SimBurstStats::BucketCeiling(k)),
-                  static_cast<unsigned long long>(b.len_hist[k]));
-    }
-    std::printf("\n");
   }
   return breakdown;
 }
@@ -352,30 +345,6 @@ void MaybeWriteTierCsv(const TierBreakdown& on, const TierBreakdown& off,
   std::fclose(f);
 }
 
-// Per-burst-length breakdown (burst-on run) as its own CSV when
-// THEMIS_BURST_CSV names a path.
-void MaybeWriteBurstCsv(const TierBreakdown& on) {
-  const char* path = std::getenv("THEMIS_BURST_CSV");
-  if (path == nullptr || path[0] == '\0') {
-    return;
-  }
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "len_ceiling,bursts\n");
-  for (size_t k = 0; k < SimBurstStats::kLenBuckets; ++k) {
-    std::fprintf(f, "%llu,%llu\n",
-                 static_cast<unsigned long long>(SimBurstStats::BucketCeiling(k)),
-                 static_cast<unsigned long long>(on.burst.len_hist[k]));
-  }
-  std::fprintf(f, "total_bursts,%llu\ntotal_burst_events,%llu\n",
-               static_cast<unsigned long long>(on.burst.bursts),
-               static_cast<unsigned long long>(on.burst.burst_events));
-  std::fclose(f);
-}
-
 }  // namespace
 }  // namespace themis
 
@@ -406,6 +375,5 @@ int main() {
               static_cast<unsigned long long>(off.events_executed),
               static_cast<unsigned long long>(on.events_executed));
   MaybeWriteTierCsv(on, off, churn);
-  MaybeWriteBurstCsv(on);
   return 0;
 }

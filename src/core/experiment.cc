@@ -499,20 +499,14 @@ void Experiment::AttachTelemetry(Telemetry* telemetry) {
     return static_cast<double>(sim->queue().calendar_pending());
   });
 
-  // Burst drain-loop shape: cumulative tagged events dispatched in bursts,
-  // plus the per-length histogram (bucket k covers lengths (2^(k-1), 2^k]).
-  // With burst mode off every run has length 1; all zero when no dispatcher
-  // is installed.
+  // Burst drain-loop shape: cumulative tagged events dispatched in bursts
+  // and the number of bursts. With burst mode off every run has length 1;
+  // both zero when no dispatcher is installed.
   const SimBurstStats* burst = &sim_.burst_stats();
   registry->RegisterGauge("sim.burst_events", [burst] {
     return static_cast<double>(burst->burst_events);
   });
   registry->RegisterCounter("sim.bursts", &burst->bursts);
-  for (size_t k = 0; k < SimBurstStats::kLenBuckets; ++k) {
-    registry->RegisterCounter(
-        "sim.burst_len.le" + std::to_string(SimBurstStats::BucketCeiling(k)),
-        &burst->len_hist[k]);
-  }
 
   // Node names for the Chrome-trace process list.
   for (const Switch* sw : topology_.switches) {

@@ -35,6 +35,10 @@ class Node {
   // the wire (releases shared-buffer credit; drives PFC resume).
   virtual void OnDataPacketDequeued(const Packet& pkt) { (void)pkt; }
 
+  // Called when a hold scheduled with Port::ScheduleTransmitHold on an owned
+  // port ends (RnicHost: the line is free for its next data packet).
+  virtual void OnTransmitHoldDone() {}
+
   // Creates a new unconnected egress port and returns its index.
   int AddPort();
 

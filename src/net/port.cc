@@ -215,10 +215,13 @@ size_t Port::DispatchBurst(Simulator& sim, const uint64_t* tags, size_t n) {
       return i;  // executive restores the tail with original (time, seq)
     }
     Port* port = PortFromTag(tags[i]);
-    if (TagKind(tags[i]) == kPortTagTxDone) {
+    const uint64_t kind = TagKind(tags[i]);
+    if (kind == kPortTagTxDone) {
       port->StartNextTransmission();
-    } else {
+    } else if (kind == kPortTagDeliver) {
       port->DeliverHeadInFlight();
+    } else {  // kPortTagHold
+      port->owner_->OnTransmitHoldDone();
     }
   }
   return n;

@@ -54,10 +54,11 @@ struct PortStats {
 
 // Tagged line-rate events: a port event is fully described by the port
 // pointer plus a kind in the pointer's low alignment bits, so the
-// serialization/delivery chain schedules raw uint64 tags instead of
-// callbacks. Port::DispatchBurst decodes them.
+// serialization/delivery chain and the owner's transmit hold schedule raw
+// uint64 tags instead of callbacks. Port::DispatchBurst decodes them.
 inline constexpr uint64_t kPortTagTxDone = 0;   // wire freed: start next transmission
 inline constexpr uint64_t kPortTagDeliver = 1;  // head of in_flight_ reaches the peer
+inline constexpr uint64_t kPortTagHold = 2;     // owner's transmit hold ends
 inline constexpr uint64_t kPortTagKindMask = 7;
 
 class Port {
@@ -89,10 +90,17 @@ class Port {
 
   // Decodes and executes a same-tick run of tagged port events one at a
   // time, in order: a tx-done starts the next transmission, a delivery hands
-  // the head in-flight packet to the peer's ReceivePacket. Checks
-  // sim.stop_requested() between events and returns how many completed — the
-  // executive re-queues the rest. Registered by ConnectTo.
+  // the head in-flight packet to the peer's ReceivePacket, and a hold calls
+  // the owner's Node::OnTransmitHoldDone. Checks sim.stop_requested() between
+  // events and returns how many completed — the executive re-queues the
+  // rest. Registered by ConnectTo.
   static size_t DispatchBurst(Simulator& sim, const uint64_t* tags, size_t n);
+
+  // Schedules the owner's transmit hold on this port's tag: `delay` from now,
+  // DispatchBurst calls owner()->OnTransmitHoldDone().
+  void ScheduleTransmitHold(TimePs delay) {
+    sim_->SchedulePortEvent(delay, MakeTag(this, kPortTagHold));
+  }
 
   // Enqueues a packet for transmission. Data packets exceeding the queue
   // capacity are dropped (drop-tail); control packets are never dropped.

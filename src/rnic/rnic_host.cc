@@ -161,17 +161,20 @@ void RnicHost::RunScheduler() {
 
   // Transmit one packet; hold the line for its serialization time. This is
   // one line-rate event per transmitted packet — exactly the calendar tier's
-  // customer — so it rides ScheduleSerialization. (The pacing/PFC wake-ups
-  // above stay on the callback heap: NotifyWork cancels them, and only the
-  // callback heap supports cancel, leaving no garbage event behind.)
+  // customer — so it rides the uplink as a port tag, which DispatchBurst
+  // turns into OnTransmitHoldDone. (The pacing/PFC wake-ups above stay on
+  // the callback heap: NotifyWork cancels them, and only the callback heap
+  // supports cancel, leaving no garbage event behind.)
   const Packet pkt = best->DequeuePacket();
   ++rr_cursor_;
   uplink()->Send(pkt);
   state_ = SchedulerState::kTransmitting;
-  sim()->ScheduleSerialization(line_rate().SerializationTime(pkt.wire_bytes), [this] {
-    state_ = SchedulerState::kIdle;
-    RunScheduler();
-  });
+  uplink()->ScheduleTransmitHold(line_rate().SerializationTime(pkt.wire_bytes));
+}
+
+void RnicHost::OnTransmitHoldDone() {
+  state_ = SchedulerState::kIdle;
+  RunScheduler();
 }
 
 }  // namespace themis

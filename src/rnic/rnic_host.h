@@ -37,6 +37,8 @@ class RnicHost : public Node {
         wake_timer_(sim, [this] { OnWake(); }) {}
 
   void ReceivePacket(const Packet& pkt, int in_port) override;
+  // The uplink's transmit hold ended: the line is free for the next packet.
+  void OnTransmitHoldDone() override;
 
   // --- QP management -------------------------------------------------------
   SenderQp* CreateSenderQp(uint32_t flow_id, int dst_host, const QpConfig& config);

@@ -144,17 +144,20 @@ void SenderQp::EnqueueRetransmit(uint32_t psn) {
 }
 
 void SenderQp::AdvanceUna(uint32_t new_una) {
+  // An acknowledgment past snd_nxt_ (a receiver fed data this QP never sent)
+  // covers only what was sent: the unsent PSNs must still go out and be
+  // acknowledged.
+  if (PsnGt(new_una, snd_nxt_)) {
+    new_una = snd_nxt_;
+  }
   if (!PsnGt(new_una, snd_una_)) {
     return;
   }
-  // Only in-flight PSNs carry bytes: an acknowledgment past snd_nxt_ (a
-  // receiver fed data this QP never sent) moves snd_una_ and credits nothing.
   uint64_t acked_bytes = 0;
-  for (; PsnLt(snd_una_, new_una) && PsnLt(snd_una_, snd_nxt_); snd_una_ = PsnAdd(snd_una_, 1)) {
+  for (; PsnLt(snd_una_, new_una); snd_una_ = PsnAdd(snd_una_, 1)) {
     acked_bytes += ring_[snd_una_].payload;
   }
   unacked_bytes_ -= static_cast<int64_t>(acked_bytes);
-  snd_una_ = new_una;
   head_rtx_fired_ = false;  // a new head: head-loss detection re-arms
   cc_->OnAck(acked_bytes);
 

@@ -1,12 +1,13 @@
-// A calendar queue for line-rate one-shot events.
+// A calendar queue for the line-rate port events.
 //
-// Most events are port serialization/delivery events: two per packet, both
-// scheduled at most one serialization quantum plus one propagation delay
-// ahead of now, firing at near-uniform spacing (one MTU at line rate). A
-// calendar queue whose bucket width is tuned to that quantum makes insert
-// O(1): an append to the target bucket. Buckets are not small, though: every
-// active egress port fires into the same window, so a collected bucket holds
-// tens to thousands of entries (measured sizes: Network::AutoSizeScheduler).
+// Most events are port events: a transmission's tx-done and delivery, and a
+// NIC's transmit hold, each scheduled at most one serialization quantum plus
+// one propagation delay ahead of now, firing at near-uniform spacing (one MTU
+// at line rate). A calendar queue whose bucket width is tuned to that quantum
+// makes insert O(1): an append to the target bucket. Buckets are not small,
+// though: every active egress port fires into the same window, so a collected
+// bucket holds tens to thousands of entries (measured sizes:
+// Network::AutoSizeScheduler).
 //
 // Sorted drain: when the cursor collects a bucket, the whole bucket is sorted
 // once into a run ordered by (time, seq), and the run is consumed by index. A
@@ -26,9 +27,12 @@
 // callback heap. The observable firing order is bit-identical to a single
 // global heap.
 //
-// Entries are non-cancellable (serialization/delivery chains never cancel),
-// which is what keeps the tier this simple: no nodes, no generations, no
-// tombstones — just small (time, seq, tag, slot) keys moved bucket -> run.
+// Entries are non-cancellable (port events never cancel) and carry no
+// callback: each is a uint64 tag (port pointer + event kind) that the
+// owner's registered dispatcher decodes. That is what keeps the tier this
+// simple — no nodes, no generations, no tombstones, no callback storage —
+// and what lets the owner pop a whole same-tick run in one go
+// (PopReadyTaggedRun) and hand it to the dispatcher as a burst.
 //
 // Cursor policy: the cursor only advances while collecting. When no entry is
 // bucketed, the next insert re-anchors the cursor half a horizon behind the
@@ -37,23 +41,11 @@
 // beyond the horizon are rejected by Accepts() and the caller routes them to
 // the callback heap instead (overflow-to-heap).
 //
-// Tagged entries (burst mode): the port serialization/delivery chain needs no
-// callback at all — the event is fully described by a non-zero uint64 tag
-// (port pointer + event kind) that a registered dispatcher decodes. Tagged
-// entries skip callback construction/move/invoke entirely, and because they
-// are self-describing the owner can pop a whole same-tick run of them in one
-// go (PopReadyTaggedRun) and hand it to the dispatcher as a burst. tag == 0
-// means "plain callback entry".
-//
 // Storage: buckets, the run and the small heap hold 32-byte POD keys
-// (time, seq, tag, callback slot). A bucket is a list of 32-entry (1 KiB)
-// chunks drawn from one pool shared by every bucket; collecting a bucket
-// returns its chunks to a LIFO free list, so retained memory follows the peak
-// number of bucketed entries rather than each bucket's own peak. Callbacks
-// live in a side pool indexed by slot. Tagged entries (the vast majority at
-// line rate) never touch the pool, and a callback entry moves its 64-byte
-// InlineCallback exactly twice — pool-in at Schedule(), pool-out at
-// PopReady() — instead of riding through every bucket move and sort pass.
+// (time, seq, tag). A bucket is a list of 32-entry (1 KiB) chunks drawn from
+// one pool shared by every bucket; collecting a bucket returns its chunks to
+// a LIFO free list, so retained memory follows the peak number of bucketed
+// entries rather than each bucket's own peak.
 
 #ifndef THEMIS_SRC_SIM_CALENDAR_QUEUE_H_
 #define THEMIS_SRC_SIM_CALENDAR_QUEUE_H_
@@ -65,15 +57,12 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/inline_callback.h"
 #include "src/sim/time.h"
 
 namespace themis {
 
 class CalendarQueue {
  public:
-  using Callback = EventCallback;
-
   CalendarQueue() = default;
   CalendarQueue(const CalendarQueue&) = delete;
   CalendarQueue& operator=(const CalendarQueue&) = delete;
@@ -112,29 +101,47 @@ class CalendarQueue {
       return false;
     }
     if (in_bucket_count_ == 0) {
-      return true;  // Schedule() re-anchors the cursor around `at`
+      return true;  // ScheduleTagged() re-anchors the cursor around `at`
     }
     return at < cal_time_ + horizon_;  // below-cursor entries go to the low heap
   }
 
-  // Inserts an entry firing at absolute time `at`, carrying the caller's
+  // Inserts `tag`, firing at absolute time `at` and carrying the caller's
   // queue-wide sequence number. Pre: Accepts(at).
-  void Schedule(TimePs at, uint64_t seq, Callback cb) {
-    ScheduleEntry(Entry{at, seq, 0, AllocSlot(std::move(cb))});
-  }
-
-  // Tagged (callback-free) variant for the port event chain. `tag` must be
-  // non-zero; the owner's dispatcher decodes it. Pre: Accepts(at).
   void ScheduleTagged(TimePs at, uint64_t seq, uint64_t tag) {
-    assert(tag != 0);
-    ScheduleEntry(Entry{at, seq, tag, kNoSlot});
+    const Entry e{at, seq, tag};
+    if (in_bucket_count_ == 0) {
+      // Nothing bucketed: re-anchor so the entry sits mid-horizon. Entries in
+      // the run and the low heap are position-independent, so moving the
+      // cursor (even backwards) is exact. Keeps the tier O(1) after idle
+      // stretches.
+      cal_time_ = std::max<TimePs>(0, AlignDown(at) - (horizon_ >> 1));
+    }
+    if (at < cal_time_) {
+      // Cursor already passed this window; the low heap orders it exactly.
+      PushLow(e);
+      return;
+    }
+    assert(at - cal_time_ < horizon_ && "caller must check Accepts()");
+    const size_t idx = BucketIndex(at);
+    Bucket& bucket = buckets_[idx];
+    const uint32_t offset = bucket.size % kChunkEntries;
+    if (offset == 0) {
+      Chunk* chunk = AllocChunk();
+      (bucket.size == 0 ? bucket.head : bucket.tail->next) = chunk;
+      bucket.tail = chunk;
+    }
+    bucket.tail->entries[offset] = e;
+    ++bucket.size;
+    SetOccupied(idx, true);
+    ++in_bucket_count_;
   }
 
   // Collects buckets until every entry that could fire at or before `bound`
   // (given what is already ready) is in the run or the low heap. Must be
-  // called before ReadyTime()/ReadySeq()/PopReady(). Collecting a bucket may
-  // make entries later than `bound` ready early — harmless, since the run
-  // and the low heap both order by (time, seq).
+  // called before ReadyTime()/ReadySeq()/PopReadyTaggedRun(). Collecting a
+  // bucket may make entries later than `bound` ready early — harmless, since
+  // the run and the low heap both order by (time, seq).
   void CollectDue(TimePs bound) {
     if (in_bucket_count_ == 0) {
       return;
@@ -171,31 +178,18 @@ class CalendarQueue {
   // Pre: HasReady().
   TimePs ReadyTime() const { return Front().time; }
   uint64_t ReadySeq() const { return Front().seq; }
-  bool ReadyIsTagged() const { return Front().tag != 0; }
 
-  // Pre: HasReady(). Tagged entries yield an empty callback.
-  Callback PopReady(TimePs* time_out) {
-    const Entry e = PopFront();
-    *time_out = e.time;
-    if (e.slot == kNoSlot) {
-      return Callback{};
-    }
-    Callback cb = std::move(cb_pool_[e.slot]);
-    free_slots_.push_back(e.slot);
-    return cb;
-  }
-
-  // Drains the maximal run of ready *tagged* entries firing exactly at `t`
-  // with seq strictly below `seq_bound` into `tags`/`seqs` (parallel arrays,
-  // capacity `max_n`). Stops at the first plain-callback entry, tick change,
-  // or bound crossing, so the run is exactly the events a scalar pop loop
-  // would fire consecutively. Returns the run length.
+  // Drains the maximal run of ready entries firing exactly at `t` with seq
+  // strictly below `seq_bound` into `tags`/`seqs` (parallel arrays, capacity
+  // `max_n`). Stops at a tick change or a bound crossing, so the run is
+  // exactly the events a scalar pop loop would fire consecutively. Returns
+  // the run length.
   size_t PopReadyTaggedRun(TimePs t, uint64_t seq_bound, uint64_t* tags, uint64_t* seqs,
                            size_t max_n) {
     size_t n = 0;
     while (n < max_n && HasReady()) {
       const Entry& front = Front();
-      if (front.time != t || front.seq >= seq_bound || front.tag == 0) {
+      if (front.time != t || front.seq >= seq_bound) {
         break;
       }
       tags[n] = front.tag;
@@ -206,28 +200,26 @@ class CalendarQueue {
     return n;
   }
 
-  // Puts a popped-but-not-dispatched tagged entry back, keeping its original
+  // Puts a popped-but-not-dispatched entry back, keeping its original
   // (time, seq) so a later pop replays the exact scalar order. Used when
   // Stop() lands mid-burst.
   void RestoreReady(TimePs t, uint64_t seq, uint64_t tag) {
-    PushLow(Entry{t, seq, tag, kNoSlot});
+    PushLow(Entry{t, seq, tag});
   }
 
   size_t pending() const { return in_bucket_count_ + (run_end_ - run_pos_) + low_.size(); }
 
  private:
-  static constexpr uint32_t kNoSlot = ~uint32_t{0};
   static constexpr uint32_t kChunkEntries = 32;
 
-  // 32-byte POD key: what buckets, the run and the low heap hold. Aligned to
-  // its size so that no key straddles two cache lines. With malloc's 16-byte
-  // alignment, half the keys of a badly placed chunk or buffer did, and
-  // bench_sim_hotpath's later fig1 runs read ~12 % slower.
+  // POD key: what buckets, the run and the low heap hold. Padded and aligned
+  // to 32 bytes so that no key straddles two cache lines. With malloc's
+  // 16-byte alignment, half the keys of a badly placed chunk or buffer did,
+  // and bench_sim_hotpath's later fig1 runs read ~12 % slower.
   struct alignas(32) Entry {
     TimePs time;
     uint64_t seq;
-    uint64_t tag;   // non-zero: dispatcher-decoded port event (no callback)
-    uint32_t slot;  // cb_pool_ index, kNoSlot for tagged entries
+    uint64_t tag;  // dispatcher-decoded port event
   };
 
   // A pool chunk. `next` links a bucket's chunks, or the free list.
@@ -242,45 +234,6 @@ class CalendarQueue {
     Chunk* tail = nullptr;
     uint32_t size = 0;
   };
-
-  uint32_t AllocSlot(Callback cb) {
-    if (!free_slots_.empty()) {
-      const uint32_t slot = free_slots_.back();
-      free_slots_.pop_back();
-      cb_pool_[slot] = std::move(cb);
-      return slot;
-    }
-    cb_pool_.push_back(std::move(cb));
-    return static_cast<uint32_t>(cb_pool_.size() - 1);
-  }
-
-  void ScheduleEntry(const Entry& e) {
-    if (in_bucket_count_ == 0) {
-      // Nothing bucketed: re-anchor so the entry sits mid-horizon. Entries in
-      // the run and the low heap are position-independent, so moving the
-      // cursor (even backwards) is exact. Keeps the tier O(1) after idle
-      // stretches.
-      cal_time_ = std::max<TimePs>(0, AlignDown(e.time) - (horizon_ >> 1));
-    }
-    if (e.time < cal_time_) {
-      // Cursor already passed this window; the low heap orders it exactly.
-      PushLow(e);
-      return;
-    }
-    assert(e.time - cal_time_ < horizon_ && "caller must check Accepts()");
-    const size_t idx = BucketIndex(e.time);
-    Bucket& bucket = buckets_[idx];
-    const uint32_t offset = bucket.size % kChunkEntries;
-    if (offset == 0) {
-      Chunk* chunk = AllocChunk();
-      (bucket.size == 0 ? bucket.head : bucket.tail->next) = chunk;
-      bucket.tail = chunk;
-    }
-    bucket.tail->entries[offset] = e;
-    ++bucket.size;
-    SetOccupied(idx, true);
-    ++in_bucket_count_;
-  }
 
   // Max-comparator for std::push_heap/pop_heap (min-heap by (time, seq)).
   struct After {
@@ -456,8 +409,6 @@ class CalendarQueue {
   std::vector<Entry> pass_buffer_;   // first radix pass output, as large as run_
   std::vector<uint32_t> histogram_;  // low then high digit counts
   std::vector<Entry> low_;           // the low heap: min-heap by (time, seq)
-  std::vector<Callback> cb_pool_;    // callback side pool, indexed by Entry::slot
-  std::vector<uint32_t> free_slots_;  // recycled cb_pool_ indices
 };
 
 }  // namespace themis

@@ -6,19 +6,20 @@
 // traces across runs.
 //
 // Two tiers share one sequence counter:
-//  * ScheduleLineRate() — a calendar queue tuned to the port serialization
-//    quantum for the per-packet serialization/delivery chain (two events per
-//    packet, the hot path at fig1/fig5 scale). Insert is O(1), and each
-//    bucket is sorted once when collected and then popped by index; entries
-//    beyond the calendar horizon overflow to the callback heap.
+//  * ScheduleLineRateTagged() — a calendar queue tuned to the port
+//    serialization quantum for the per-packet port events (tx-done,
+//    delivery and the NIC transmit hold, the hot path at fig1/fig5 scale).
+//    Its entries are callback-free tags. Insert is O(1), and each bucket is
+//    sorted once when collected and then popped by index; the caller routes
+//    entries beyond the calendar horizon to the callback heap.
 //  * ScheduleAt() and ScheduleTimer()/CancelTimer() — one indexed 4-ary
-//    callback heap for everything else: non-cancellable one-shots with
+//    callback heap for every callback event: non-cancellable one-shots with
 //    irregular or far-future deadlines (workload arrivals, failure
 //    injections, calendar overflow) and cancellable timers (per-QP RTO
 //    re-arms, DCQCN TI/TD/alpha ticks, NIC scheduler wake-ups). Arm and
 //    Cancel are O(log n) and a cancelled timer leaves nothing behind.
-// Pop() merges both tiers by (time, sequence), so the observable firing
-// order is exactly what a single global heap would produce.
+// PopEventOrBurst() merges both tiers by (time, sequence), so the observable
+// firing order is exactly what a single global heap would produce.
 
 #ifndef THEMIS_SRC_SIM_EVENT_QUEUE_H_
 #define THEMIS_SRC_SIM_EVENT_QUEUE_H_
@@ -48,22 +49,10 @@ class EventQueue {
     ++heap_scheduled_;
   }
 
-  // Line-rate fast path: one-shot events a serialization quantum or so out
-  // (port serialization/delivery, NIC line holds) ride the calendar tier;
-  // anything the calendar cannot house falls back to the callback heap.
-  void ScheduleLineRate(TimePs at, Callback cb) {
-    if (calendar_.Accepts(at)) {
-      calendar_.Schedule(at, next_seq_++, std::move(cb));
-      ++calendar_scheduled_;
-    } else {
-      ScheduleAt(at, std::move(cb));
-    }
-  }
-
-  // Callback-free line-rate entry, described entirely by a non-zero `tag`
-  // the Simulator's dispatcher decodes. Returns false when the calendar
-  // cannot house `at` — the caller must then wrap the tag in a callback
-  // (the callback heap carries no tags).
+  // Line-rate entry, described entirely by a `tag` the Simulator's
+  // dispatcher decodes. Returns false when the calendar cannot house `at` —
+  // the caller must then wrap the tag in a callback (the callback heap
+  // carries no tags).
   bool ScheduleLineRateTagged(TimePs at, uint64_t tag) {
     if (!calendar_.Accepts(at)) {
       return false;
@@ -94,31 +83,18 @@ class EventQueue {
   bool empty() const { return heap_.empty() && calendar_.pending() == 0; }
   size_t size() const { return heap_.size() + calendar_.pending(); }
 
-  // Time of the earliest pending event. Queue must be non-empty.
-  TimePs NextTime() {
-    Sync();
-    return CalendarFirst() ? calendar_.ReadyTime() : heap_.TopTime();
-  }
-
-  // Removes and returns the earliest event's callback, advancing `*time_out`.
-  Callback Pop(TimePs* time_out) {
-    Sync();
-    return CalendarFirst() ? calendar_.PopReady(time_out) : heap_.Pop(time_out);
-  }
-
-  // Fused NextTime()+Pop() for the run loop: pops the earliest event only if
-  // it fires at or before `deadline`, paying one calendar sync per call.
-  // When that event is a *tagged* calendar entry, drains the whole same-tick
-  // run of tagged entries into `tags`/`seqs` (up to `max_n`) and reports its
-  // length in `*burst_n`. The run is bounded by the sequence number of the
-  // callback heap's top when it shares the tick, so executing it
-  // front-to-back is (time, seq)-identical to `burst_n` scalar pops.
-  // `*burst_n == 0` means a plain callback event was popped into `*cb`
-  // instead. With `max_n == 1` this degrades to the scalar path, one tagged
-  // event per call — the reference drain of
-  // Simulator::set_burst_enabled(false). Returns false (and leaves `*cb`
-  // untouched) if the queue is empty or the earliest event fires after
-  // `deadline`.
+  // The queue's one pop: pops the earliest event only if it fires at or
+  // before `deadline`, paying one calendar sync per call. When that event
+  // is a calendar entry, drains the whole same-tick run of calendar entries
+  // into `tags`/`seqs` (up to `max_n`) and reports its length in
+  // `*burst_n`. The run is bounded by the sequence number of the callback
+  // heap's top when it shares the tick, so executing it front-to-back is
+  // (time, seq)-identical to `burst_n` scalar pops. `*burst_n == 0` means a
+  // callback-heap event was popped into `*cb` instead. With `max_n == 1`
+  // this degrades to the scalar path, one tag per call — the reference
+  // drain of Simulator::set_burst_enabled(false). Returns false (and leaves
+  // `*cb` untouched) if the queue is empty or the earliest event fires
+  // after `deadline`; the calendar is still synced against the heap top.
   bool PopEventOrBurst(TimePs deadline, TimePs* time_out, Callback* cb, uint64_t* tags,
                        uint64_t* seqs, size_t max_n, size_t* burst_n) {
     *burst_n = 0;
@@ -134,17 +110,13 @@ class EventQueue {
     if (t > deadline) {
       return false;
     }
-    if (!calendar_.ReadyIsTagged()) {
-      *cb = calendar_.PopReady(time_out);
-      return true;
-    }
     const uint64_t bound = !heap_.empty() && heap_.TopTime() == t ? heap_.TopSeq() : UINT64_MAX;
     *burst_n = calendar_.PopReadyTaggedRun(t, bound, tags, seqs, max_n);
     *time_out = t;
-    return true;  // the best entry was tagged and below bound: burst_n >= 1
+    return true;  // the best entry was below bound: burst_n >= 1
   }
 
-  // Re-inserts a tagged entry popped by PopEventOrBurst but not dispatched
+  // Re-inserts a calendar entry popped by PopEventOrBurst but not dispatched
   // (Stop() landed mid-burst), preserving its original (time, seq).
   void RestoreLineRate(TimePs t, uint64_t seq, uint64_t tag) {
     calendar_.RestoreReady(t, seq, tag);

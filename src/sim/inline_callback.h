@@ -1,15 +1,14 @@
 // A small-buffer-optimized, move-only callback for the event hot path.
 //
 // Every simulation event used to carry a std::function<void()>. On the
-// packet path (port serialization/delivery, NIC scheduler wake-ups, timer
-// re-arms) the captures are tiny — a `this` pointer plus a few words — but
-// std::function only inlines very small captures and pays double
-// indirection on invoke. InlineCallback<N> stores any callable of up to N
-// bytes directly inside the event entry; only oversized captures fall back
-// to a heap allocation, and the packet-path call sites go through
-// MustInline() / Simulator::ScheduleInline(), which reject such captures at
-// compile time. The event engine is therefore allocation-free per event on
-// the packet path.
+// packet path (NIC scheduler wake-ups, timer re-arms) the captures are tiny
+// — a `this` pointer plus a few words — but std::function only inlines very
+// small captures and pays double indirection on invoke. InlineCallback<N>
+// stores any callable of up to N bytes directly inside the event entry;
+// only oversized captures fall back to a heap allocation, and the
+// packet-path call sites go through MustInline(), which rejects such
+// captures at compile time. The event engine is therefore allocation-free
+// per event on the packet path (port events carry no callback at all).
 
 #ifndef THEMIS_SRC_SIM_INLINE_CALLBACK_H_
 #define THEMIS_SRC_SIM_INLINE_CALLBACK_H_

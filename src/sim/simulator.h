@@ -4,19 +4,17 @@
 // executive is single-threaded by design; determinism comes from integer
 // time plus FIFO tie-breaking in the event queue.
 //
-// Two scheduling tiers (see event_queue.h): line-rate one-shots
-// (ScheduleSerialization, SchedulePortEvent) ride a calendar queue sized to
-// the port serialization quantum; everything else — plain
-// Schedule()/ScheduleAt() events and cancellable timers (Timer,
-// PeriodicTimer, ScheduleTimer) — shares one indexed callback heap. Both
-// tiers draw sequence numbers from the same counter, so the firing order —
-// and therefore every fixed-seed trace — is identical to a single global
-// heap.
+// Two scheduling tiers (see event_queue.h): tagged line-rate port events
+// (SchedulePortEvent) ride a calendar queue sized to the port serialization
+// quantum; every callback event — plain Schedule()/ScheduleAt() events and
+// cancellable timers (Timer, PeriodicTimer, ScheduleTimer) — shares one
+// indexed callback heap. Both tiers draw sequence numbers from the same
+// counter, so the firing order — and therefore every fixed-seed trace — is
+// identical to a single global heap.
 
 #ifndef THEMIS_SRC_SIM_SIMULATOR_H_
 #define THEMIS_SRC_SIM_SIMULATOR_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -29,16 +27,11 @@ namespace themis {
 
 class TraceSink;  // src/telemetry/trace.h; the executive only carries the pointer
 
-// Per-burst-length histogram for the burst drain loop (sim.burst_* telemetry
-// and the bench CSV). Bucket k covers lengths (2^(k-1), 2^k]: 1, 2, 3-4,
-// 5-8, ..., with the last bucket open-ended.
+// Shape of the burst drain loop (sim.bursts / sim.burst_events telemetry):
+// burst_events / bursts is the mean same-tick run length.
 struct SimBurstStats {
-  static constexpr size_t kLenBuckets = 8;
   uint64_t bursts = 0;        // dispatcher invocations (including length 1)
   uint64_t burst_events = 0;  // tagged events that went through the dispatcher
-  uint64_t len_hist[kLenBuckets] = {};
-
-  static constexpr uint64_t BucketCeiling(size_t k) { return uint64_t{1} << k; }
 };
 
 class Simulator {
@@ -71,33 +64,13 @@ class Simulator {
     queue_.ScheduleAt(at, std::move(cb));
   }
 
-  // Packet-path variants: statically reject any capture too large for the
-  // callback's inline buffer, so the per-event path never allocates.
-  template <typename F>
-  void ScheduleInline(TimePs delay, F&& f) {
-    queue_.ScheduleAt(now_ + delay, EventCallback::MustInline(std::forward<F>(f)));
-  }
-
-  template <typename F>
-  void ScheduleAtInline(TimePs at, F&& f) {
-    queue_.ScheduleAt(at, EventCallback::MustInline(std::forward<F>(f)));
-  }
-
-  // Line-rate fast path: one-shot events at most a serialization quantum
-  // plus a propagation delay out — the port serialization/delivery chain and
-  // NIC line holds. Rides the calendar tier (O(1) insert/pop) when one is
-  // configured and the deadline is within its horizon; falls back to the
-  // callback heap otherwise. Inline-only, like ScheduleInline.
-  template <typename F>
-  void ScheduleSerialization(TimePs delay, F&& f) {
-    queue_.ScheduleLineRate(now_ + delay, EventCallback::MustInline(std::forward<F>(f)));
-  }
-
-  // Tagged line-rate event: no callback at all — `tag` (non-zero) encodes
-  // the port and event kind, and the dispatcher registered via
-  // SetLineRateDispatcher decodes it at fire time. Same tier routing as
-  // ScheduleSerialization; entries beyond the calendar horizon ride the
-  // callback heap wrapped in a self-dispatching callback.
+  // Line-rate fast path: a tagged event at most a serialization quantum plus
+  // a propagation delay out — a port's tx-done or delivery, or a NIC's
+  // transmit hold. No callback at all: `tag` encodes the port and event
+  // kind, and the dispatcher registered via SetLineRateDispatcher decodes it
+  // at fire time. Rides the calendar tier (O(1) insert/pop) when one is
+  // configured and the deadline is within its horizon; entries beyond it
+  // ride the callback heap wrapped in a self-dispatching callback.
   void SchedulePortEvent(TimePs delay, uint64_t tag) {
     const TimePs at = now_ + delay;
     if (!queue_.ScheduleLineRateTagged(at, tag)) {
@@ -166,17 +139,18 @@ class Simulator {
     EventQueue::Callback cb;
     uint64_t tags[kMaxBurst];
     uint64_t seqs[kMaxBurst];
-    // Burst drain: tagged same-tick calendar runs come out of the fused pop
-    // as one flat array and pay one tier sync for the whole run; everything
-    // else pops one callback at a time, exactly as before. With burst mode
-    // off, max_run == 1 turns the tagged path into the scalar reference.
+    // Burst drain: same-tick calendar runs come out of the fused pop as one
+    // flat array of tags and pay one tier sync for the whole run; callback-
+    // heap events pop one at a time. With burst mode off, max_run == 1 turns
+    // the tagged path into the scalar reference.
     const size_t max_run = burst_enabled_ && line_rate_dispatcher_ != nullptr ? kMaxBurst : 1;
     size_t burst_n = 0;
     while (!stopped_ &&
            queue_.PopEventOrBurst(deadline, &t, &cb, tags, seqs, max_run, &burst_n)) {
       now_ = t;
       if (burst_n > 0) {
-        RecordBurst(burst_n);
+        ++burst_stats_.bursts;
+        burst_stats_.burst_events += burst_n;
         const size_t done = line_rate_dispatcher_(*this, tags, burst_n);
         executed += done;
         // Stop() mid-burst: put the undispatched tail back with its original
@@ -210,14 +184,6 @@ class Simulator {
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
 
  private:
-  void RecordBurst(size_t n) {
-    ++burst_stats_.bursts;
-    burst_stats_.burst_events += n;
-    // Bucket k covers (2^(k-1), 2^k]: k = ceil(log2(n)), clamped.
-    const size_t k = n <= 1 ? 0 : static_cast<size_t>(64 - __builtin_clzll(n - 1));
-    ++burst_stats_.len_hist[std::min(k, SimBurstStats::kLenBuckets - 1)];
-  }
-
   TimePs now_ = 0;
   bool stopped_ = false;
   bool burst_enabled_ = true;

@@ -1,10 +1,12 @@
 // Tests for the two-tier event engine: the InlineCallback small-buffer
 // type, the indexed callback heap (one-shots and cancellable timers), the
-// line-rate calendar queue, and the (time, seq) merge of the two tiers.
+// line-rate calendar queue of port tags, and the (time, seq) merge of the
+// two tiers. Every test reads the queue back through PopEventOrBurst, the
+// run loop's pop (tests/event_queue_pop.h).
 //
 // The centrepiece is a pair of randomized stress tests that drive the real
 // EventQueue and a naive sorted-reference model through identical
-// Schedule/ScheduleTimer/Cancel/Pop interleavings and demand the exact same
+// Schedule/ScheduleTimer/Cancel/pop interleavings and demand the exact same
 // firing order — the property ("the tiers are invisible") that keeps
 // fixed-seed traces bit-identical across engine refactors.
 
@@ -20,6 +22,7 @@
 #include "src/sim/inline_callback.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
+#include "tests/event_queue_pop.h"
 
 namespace themis {
 namespace {
@@ -122,12 +125,14 @@ TEST(TimerCancelTest, CancelOfTheReportedMinimumWins) {
   int fired = 0;
   TimerId id = q.ScheduleTimer(100, [&fired] { ++fired; });
   q.ScheduleAt(50'000'000, [] {});
-  // NextTime() has just reported the timer as the earliest event (it sits at
-  // the heap top). A cancel must still win.
-  EXPECT_EQ(q.NextTime(), 100);
-  EXPECT_TRUE(q.CancelTimer(id));
+  // A pop with a deadline just before the timer syncs the queue against it
+  // (the earliest event, at the heap top) and pops nothing. A cancel must
+  // still win.
   TimePs t = 0;
-  q.Pop(&t)();
+  EXPECT_FALSE(PopAndRun(q, &t, nullptr, /*deadline=*/99));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_TRUE(q.CancelTimer(id));
+  ASSERT_TRUE(PopAndRun(q, &t));
   EXPECT_EQ(t, 50'000'000);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(fired, 0);
@@ -142,7 +147,7 @@ TEST(TimerOrderTest, FarFutureTimersFireInOrder) {
   q.ScheduleTimer(600 * kSecond, [&order] { order.push_back(3); });
   while (!q.empty()) {
     TimePs t = 0;
-    q.Pop(&t)();
+    PopAndRun(q, &t);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -157,7 +162,7 @@ TEST(TimerOrderTest, FifoTieBreakWithOneShots) {
   q.ScheduleTimer(500, [&order] { order.push_back(3); });
   while (!q.empty()) {
     TimePs t = 0;
-    q.Pop(&t)();
+    PopAndRun(q, &t);
     EXPECT_EQ(t, 500);
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -246,10 +251,9 @@ TEST(TimerChurnStressTest, MatchesReferenceUnderRandomChurn) {
       } else {  // pop one event
         if (!q.empty()) {
           TimePs t = 0;
-          EventQueue::Callback cb = q.Pop(&t);
+          PopAndRun(q, &t);
           EXPECT_GE(t, now);
           now = t;
-          cb();
           ++monotonic_check;
         }
       }
@@ -262,10 +266,9 @@ TEST(TimerChurnStressTest, MatchesReferenceUnderRandomChurn) {
     // Drain the remainder.
     while (!q.empty()) {
       TimePs t = 0;
-      EventQueue::Callback cb = q.Pop(&t);
+      PopAndRun(q, &t);
       EXPECT_GE(t, now);
       now = t;
-      cb();
     }
 
     // Expected order: every non-cancelled entry, sorted by (time, seq).
@@ -320,46 +323,77 @@ TEST(TimerChurnStressTest, TimerRearmChurnFiresExactlyLastArm) {
   }
 }
 
-// --- CalendarQueue via EventQueue -------------------------------------------
+// --- CalendarQueue via EventQueue and SchedulePortEvent ----------------------
+
+// A recording dispatcher logs every tag it executes as (fire time, tag). The
+// calendar tests read a Simulator's tags back through it, and the burst
+// tests below compare its logs across drain modes.
+struct BurstLog {
+  std::vector<std::pair<TimePs, uint64_t>> events;  // BurstStorm logs callbacks as tag 0
+  size_t dispatches = 0;
+};
+
+BurstLog* g_burst_log = nullptr;
+
+size_t RecordingDispatcher(Simulator& sim, const uint64_t* tags, size_t n) {
+  ++g_burst_log->dispatches;
+  for (size_t i = 0; i < n; ++i) {
+    g_burst_log->events.emplace_back(sim.now(), tags[i]);
+  }
+  return n;
+}
+
+// Runs `sim` to completion through RecordingDispatcher and returns its log.
+BurstLog RunRecording(Simulator& sim) {
+  BurstLog log;
+  g_burst_log = &log;
+  sim.SetLineRateDispatcher(&RecordingDispatcher);
+  sim.Run();
+  g_burst_log = nullptr;
+  return log;
+}
+
+using TimedTags = std::vector<std::pair<TimePs, uint64_t>>;
 
 TEST(CalendarQueueTest, UnconfiguredLineRateFallsBackToHeap) {
-  EventQueue q;
-  int fired = 0;
-  q.ScheduleLineRate(100, [&fired] { ++fired; });
-  EXPECT_EQ(q.calendar_scheduled(), 0u);
-  EXPECT_EQ(q.heap_scheduled(), 1u);
-  TimePs t = 0;
-  q.Pop(&t)();
-  EXPECT_EQ(t, 100);
-  EXPECT_EQ(fired, 1);
+  // No calendar: SchedulePortEvent wraps the tag in a callback on the heap,
+  // which hands it to the dispatcher at its time.
+  Simulator sim;
+  sim.SchedulePortEvent(100, 8);
+  EXPECT_EQ(sim.queue().calendar_scheduled(), 0u);
+  EXPECT_EQ(sim.queue().heap_scheduled(), 1u);
+  EXPECT_EQ(RunRecording(sim).events, (TimedTags{{100, 8}}));
 }
 
 TEST(CalendarQueueTest, ConfigureRejectedWhileEntriesPending) {
   EventQueue q;
   ASSERT_TRUE(q.ConfigureCalendar(/*width_bits=*/10, /*bucket_count=*/8));
-  q.ScheduleLineRate(100, [] {});
+  ASSERT_TRUE(q.ScheduleLineRateTagged(100, 8));
   EXPECT_EQ(q.calendar_scheduled(), 1u);
   EXPECT_FALSE(q.ConfigureCalendar(12, 16));  // entry pending: refuse
   TimePs t = 0;
-  q.Pop(&t)();
+  uint64_t popped = 0;
+  ASSERT_TRUE(PopAndRun(q, &t, [&popped](uint64_t tag) { popped = tag; }));
+  EXPECT_EQ(popped, 8u);
   EXPECT_TRUE(q.ConfigureCalendar(12, 16));  // drained: allowed again
 }
 
-// Calendar entries, one-shots and timers — three kinds of entry on the two
+// Calendar tags, one-shots and timers — three kinds of entry on the two
 // tiers — fire in scheduling order at one timestamp.
-TEST(CalendarQueueTest, FifoTieBreakAcrossAllThreeTiers) {
+TEST(CalendarQueueTest, FifoTieBreakAcrossTiers) {
   EventQueue q;
   ASSERT_TRUE(q.ConfigureCalendar(10, 8));
   std::vector<int> order;
   q.ScheduleAt(500, [&order] { order.push_back(0); });
-  q.ScheduleLineRate(500, [&order] { order.push_back(1); });
+  ASSERT_TRUE(q.ScheduleLineRateTagged(500, 1));
   q.ScheduleTimer(500, [&order] { order.push_back(2); });
-  q.ScheduleLineRate(500, [&order] { order.push_back(3); });
+  ASSERT_TRUE(q.ScheduleLineRateTagged(500, 3));
   q.ScheduleAt(500, [&order] { order.push_back(4); });
   EXPECT_EQ(q.calendar_scheduled(), 2u);
+  auto on_tag = [&order](uint64_t tag) { order.push_back(static_cast<int>(tag)); };
   while (!q.empty()) {
     TimePs t = 0;
-    q.Pop(&t)();
+    PopAndRun(q, &t, on_tag);
     EXPECT_EQ(t, 500);
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -367,38 +401,38 @@ TEST(CalendarQueueTest, FifoTieBreakAcrossAllThreeTiers) {
 
 TEST(CalendarQueueTest, BucketWrapKeepsOrder) {
   // 8 buckets x 1024 ps = 8192 ps horizon. A serialization-style chain —
-  // each fired event schedules the next a fraction of the horizon ahead —
-  // drives the cursor around the bucket array dozens of times; every event
-  // must stay on the calendar (no overflow) and fire in order.
+  // each fired tag schedules the next a fraction of the horizon ahead —
+  // drives the cursor around the bucket array dozens of times; every tag
+  // must stay on the calendar (no overflow) and fire in order. Each tag is
+  // its own fire time.
   struct Chain {
     EventQueue* q = nullptr;
-    TimePs now = 0;
     int remaining = 0;
     std::vector<TimePs> fire_times;
 
-    void Next() {
+    void Next(TimePs now) {
       if (remaining-- <= 0) {
         return;
       }
       // Mixed spacing: same-bucket, adjacent-bucket, and multi-bucket hops.
       const TimePs gap = (remaining % 3 == 0) ? 300 : (remaining % 3 == 1) ? 1100 : 5000;
-      const TimePs at = now + gap;
-      q->ScheduleLineRate(at, [this, at] {
-        now = at;
-        fire_times.push_back(at);
-        Next();
-      });
+      EXPECT_TRUE(q->ScheduleLineRateTagged(now + gap, static_cast<uint64_t>(now + gap)));
     }
   };
 
   EventQueue q;
   ASSERT_TRUE(q.ConfigureCalendar(10, 8));
-  Chain chain{&q, 0, 200, {}};
-  chain.Next();
+  Chain chain{&q, 200, {}};
+  chain.Next(0);
+  TimePs t = 0;
+  auto on_tag = [&chain, &t](uint64_t tag) {
+    EXPECT_EQ(static_cast<TimePs>(tag), t);
+    chain.fire_times.push_back(t);
+    chain.Next(t);
+  };
   TimePs prev = -1;
   while (!q.empty()) {
-    TimePs t = 0;
-    q.Pop(&t)();
+    PopAndRun(q, &t, on_tag);
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -410,41 +444,39 @@ TEST(CalendarQueueTest, BucketWrapKeepsOrder) {
 }
 
 TEST(CalendarQueueTest, BeyondHorizonOverflowsToHeapInOrder) {
-  EventQueue q;
-  ASSERT_TRUE(q.ConfigureCalendar(10, 8));  // horizon 8192 ps
-  std::vector<int> order;
-  q.ScheduleLineRate(100, [&order] { order.push_back(0); });  // calendar
+  // SchedulePortEvent routes a tag the calendar cannot house to the
+  // callback heap, wrapped in a callback that dispatches it.
+  Simulator sim;
+  ASSERT_TRUE(sim.ConfigureCalendar(10, 8));  // horizon 8192 ps
+  sim.SchedulePortEvent(100, 8);  // calendar
   // The cursor re-anchored around t=100, so +1 ms is far beyond the horizon.
-  q.ScheduleLineRate(kMillisecond, [&order] { order.push_back(2); });  // heap
-  q.ScheduleLineRate(200, [&order] { order.push_back(1); });           // calendar
-  EXPECT_EQ(q.calendar_scheduled(), 2u);
-  EXPECT_EQ(q.heap_scheduled(), 1u);
-  while (!q.empty()) {
-    TimePs t = 0;
-    q.Pop(&t)();
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  sim.SchedulePortEvent(kMillisecond, 24);  // heap
+  sim.SchedulePortEvent(200, 16);           // calendar
+  EXPECT_EQ(sim.queue().calendar_scheduled(), 2u);
+  EXPECT_EQ(sim.queue().heap_scheduled(), 1u);
+  EXPECT_EQ(RunRecording(sim).events, (TimedTags{{100, 8}, {200, 16}, {kMillisecond, 24}}));
 }
 
 TEST(CalendarQueueTest, ReanchorsAfterIdleStretch) {
-  // Drain the calendar, then schedule an event far past the old cursor: the
+  // Drain the calendar, then schedule a tag far past the old cursor: the
   // tier must accept it (cursor re-anchors) instead of overflowing forever.
   EventQueue q;
   ASSERT_TRUE(q.ConfigureCalendar(10, 8));
-  int fired = 0;
-  q.ScheduleLineRate(100, [&fired] { ++fired; });
+  std::vector<uint64_t> fired;
+  auto on_tag = [&fired](uint64_t tag) { fired.push_back(tag); };
+  ASSERT_TRUE(q.ScheduleLineRateTagged(100, 1));
   TimePs t = 0;
-  q.Pop(&t)();
-  EXPECT_EQ(fired, 1);
+  ASSERT_TRUE(PopAndRun(q, &t, on_tag));
+  EXPECT_EQ(fired.size(), 1u);
   // 1 s later — thousands of horizons past the drained cursor.
-  q.ScheduleLineRate(kSecond, [&fired] { ++fired; });
-  EXPECT_EQ(q.calendar_scheduled(), 2u);  // accepted, not overflowed
-  q.Pop(&t)();
+  EXPECT_TRUE(q.ScheduleLineRateTagged(kSecond, 2));  // accepted, not overflowed
+  EXPECT_EQ(q.calendar_scheduled(), 2u);
+  ASSERT_TRUE(PopAndRun(q, &t, on_tag));
   EXPECT_EQ(t, kSecond);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired, (std::vector<uint64_t>{1, 2}));
 }
 
-// Randomized stress: line-rate events, timers and one-shots against the
+// Randomized stress: line-rate tags, timers and one-shots against the
 // sorted-reference model.
 // A deliberately tiny calendar (8 buckets x 1024 ps = 8192 ps horizon)
 // forces constant bucket wraps and frequent overflow-to-heap, while delays
@@ -454,7 +486,7 @@ TEST(CalendarQueueTest, ReanchorsAfterIdleStretch) {
 // 7-bit digit, 2^24 ps buckets into two 12-bit digits. A dense opening —
 // several hundred entries on a few dozen random ticks of one window — fills
 // one bucket far past a chunk before anything pops.
-TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
+TEST(CalendarStressTest, TwoTierMixMatchesReference) {
   for (const int width_bits : {10, 15, 24}) {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       SCOPED_TRACE(testing::Message() << "width_bits=" << width_bits << " seed=" << seed);
@@ -491,6 +523,15 @@ TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
         ref[static_cast<size_t>(id)].fired = true;
         fired.push_back(id);
       };
+      // A line-rate entry's tag is its id. The calendar takes it when it
+      // can; otherwise it rides the heap wrapped in a callback, as
+      // Simulator::SchedulePortEvent does.
+      auto schedule_line_rate = [&q, &fire](TimePs at, int id) {
+        if (!q.ScheduleLineRateTagged(at, static_cast<uint64_t>(id))) {
+          q.ScheduleAt(at, [&fire, id] { fire(id); });
+        }
+      };
+      auto on_tag = [&fire](uint64_t tag) { fire(static_cast<int>(tag)); };
 
       // Dense opening: 400 entries on 64 random ticks of the first window.
       std::vector<TimePs> ticks(64);
@@ -504,17 +545,17 @@ TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
         if (i % 8 == 0) {
           q.ScheduleAt(at, [&fire, id] { fire(id); });
         } else {
-          q.ScheduleLineRate(at, [&fire, id] { fire(id); });
+          schedule_line_rate(at, id);
         }
       }
 
       for (int op = 0; op < 20'000; ++op) {
         const uint64_t dice = rng.Below(100);
-        if (dice < 35) {  // line-rate event (calendar or overflow)
+        if (dice < 35) {  // line-rate tag (calendar or overflow)
           const int id = static_cast<int>(ref.size());
           const TimePs at = now + random_delay();
           ref.push_back(RefEntry{at, next_seq++, id, false, false});
-          q.ScheduleLineRate(at, [&fire, id] { fire(id); });
+          schedule_line_rate(at, id);
         } else if (dice < 55) {  // timer
           const int id = static_cast<int>(ref.size());
           const TimePs at = now + random_delay();
@@ -540,20 +581,18 @@ TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
         } else {  // pop one event
           if (!q.empty()) {
             TimePs t = 0;
-            EventQueue::Callback cb = q.Pop(&t);
+            PopAndRun(q, &t, on_tag);
             EXPECT_GE(t, now);
             now = t;
-            cb();
           }
         }
       }
 
       while (!q.empty()) {
         TimePs t = 0;
-        EventQueue::Callback cb = q.Pop(&t);
+        PopAndRun(q, &t, on_tag);
         EXPECT_GE(t, now);
         now = t;
-        cb();
       }
 
       EXPECT_GT(q.calendar_scheduled(), 0u) << "seed=" << seed;
@@ -576,43 +615,30 @@ TEST(CalendarStressTest, ThreeTierMixMatchesReference) {
   }
 }
 
-// --- PopEventOrBurst deadline (fused NextTime + Pop) --------------------------
+// --- PopEventOrBurst deadline -------------------------------------------------
 
 TEST(PopEventOrBurstTest, RespectsDeadlineAcrossTiers) {
   EventQueue q;
   ASSERT_TRUE(q.ConfigureCalendar(10, 8));
   std::vector<int> order;
-  q.ScheduleLineRate(100, [&order] { order.push_back(0); });
+  ASSERT_TRUE(q.ScheduleLineRateTagged(100, 0));
   q.ScheduleTimer(200, [&order] { order.push_back(1); });
   q.ScheduleAt(300, [&order] { order.push_back(2); });
-
+  auto on_tag = [&order](uint64_t tag) { order.push_back(static_cast<int>(tag)); };
   TimePs t = 0;
-  EventQueue::Callback cb;
-  uint64_t tag = 0;
-  uint64_t seq = 0;
-  size_t burst_n = 0;
-  // One event per call, as the scalar reference drain pops.
-  auto pop = [&](TimePs deadline) {
-    return q.PopEventOrBurst(deadline, &t, &cb, &tag, &seq, /*max_n=*/1, &burst_n);
-  };
+  auto pop = [&](TimePs deadline) { return PopAndRun(q, &t, on_tag, deadline); };
   // Deadline below everything: nothing pops, queue intact.
   EXPECT_FALSE(pop(99));
   EXPECT_EQ(q.size(), 3u);
   // Deadline admits the first two, in order, then refuses the third.
   ASSERT_TRUE(pop(250));
-  EXPECT_EQ(burst_n, 0u);  // a callback event, not a tagged run
-  cb();
   EXPECT_EQ(t, 100);
   ASSERT_TRUE(pop(250));
-  EXPECT_EQ(burst_n, 0u);
-  cb();
   EXPECT_EQ(t, 200);
   EXPECT_FALSE(pop(250));
   EXPECT_EQ(q.size(), 1u);
   // Exact-time deadline is inclusive.
   ASSERT_TRUE(pop(300));
-  EXPECT_EQ(burst_n, 0u);
-  cb();
   EXPECT_EQ(t, 300);
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(pop(1'000'000));  // empty queue
@@ -649,28 +675,13 @@ TEST(RunUntilTest, AdvancesClockToDeadlineOnEarlyExit) {
 }
 
 // ---------------------------------------------------------------------------
-// Burst drain-loop property tests. A recording dispatcher logs every tagged
-// event it executes as (fire time, tag); the burst path (same-tick runs
-// handed over as flat arrays) must replay the scalar reference — burst mode
-// off, one tagged event per dispatch — bit-exactly, under randomized tick
-// collisions, run-breaking callbacks, same-tick one-shot and timer bounds,
-// and overflow-to-heap tagged entries.
+// Burst drain-loop property tests. RecordingDispatcher logs every tag it
+// executes; the burst path (same-tick runs handed over as flat arrays) must
+// replay the scalar reference — burst mode off, one tag per dispatch —
+// bit-exactly, under randomized tick collisions, same-tick one-shot and
+// timer bounds, and overflow-to-heap tags.
 
-struct BurstLog {
-  std::vector<std::pair<TimePs, uint64_t>> events;  // tag 0 = plain callback
-  size_t dispatches = 0;
-};
-
-BurstLog* g_burst_log = nullptr;
 uint64_t g_stop_tag = 0;  // StoppingDispatcher raises Stop() after this tag
-
-size_t RecordingDispatcher(Simulator& sim, const uint64_t* tags, size_t n) {
-  ++g_burst_log->dispatches;
-  for (size_t i = 0; i < n; ++i) {
-    g_burst_log->events.emplace_back(sim.now(), tags[i]);
-  }
-  return n;
-}
 
 size_t StoppingDispatcher(Simulator& sim, const uint64_t* tags, size_t n) {
   ++g_burst_log->dispatches;
@@ -686,11 +697,10 @@ size_t StoppingDispatcher(Simulator& sim, const uint64_t* tags, size_t n) {
   return n;
 }
 
-// Self-rescheduling volley generator: each firing packs several tagged events
-// onto few distinct ticks (collisions on purpose), sometimes adds a
-// run-breaking plain callback or a same-tick one-shot or timer, and
-// occasionally throws a tagged event beyond the calendar horizon
-// (heap-wrapper path).
+// Self-rescheduling volley generator: each firing packs several tags onto
+// few distinct ticks (collisions on purpose), sometimes adds a same-tick
+// one-shot or timer, and occasionally throws a tag beyond the calendar
+// horizon (heap-wrapper path).
 struct BurstStorm {
   Simulator* sim = nullptr;
   Rng* rng = nullptr;
@@ -708,16 +718,11 @@ struct BurstStorm {
       sim->SchedulePortEvent(static_cast<TimePs>(rng->Below(4)) * 32, next_tag);
       next_tag += 8;
     }
-    switch (rng->Below(4)) {
-      case 0:  // plain line-rate callback: breaks any tagged run on its tick
-        sim->ScheduleSerialization(static_cast<TimePs>(rng->Below(4)) * 32,
-                                   [this] { LogCallback(); });
+    switch (rng->Below(3)) {
+      case 0:  // same-tick heap event: bounds the run by its sequence number
+        sim->Schedule(static_cast<TimePs>(rng->Below(4)) * 32, [this] { LogCallback(); });
         break;
-      case 1:  // same-tick heap event: bounds the run by its sequence number
-        sim->ScheduleInline(static_cast<TimePs>(rng->Below(4)) * 32,
-                            [this] { LogCallback(); });
-        break;
-      case 2:  // far beyond the 1024 ps horizon: tagged overflow rides the heap
+      case 1:  // far beyond the 1024 ps horizon: tagged overflow rides the heap
         sim->SchedulePortEvent(50'000 + static_cast<TimePs>(rng->Below(1'000)), next_tag);
         next_tag += 8;
         break;
@@ -726,7 +731,7 @@ struct BurstStorm {
                            EventCallback::MustInline([this] { LogCallback(); }));
         break;
     }
-    sim->ScheduleInline(32 + static_cast<TimePs>(rng->Below(200)), [this] { Fire(); });
+    sim->Schedule(32 + static_cast<TimePs>(rng->Below(200)), [this] { Fire(); });
   }
 };
 
@@ -743,7 +748,7 @@ TEST(BurstDispatchTest, MatchesScalarReferenceUnderRandomTickCollisions) {
       g_burst_log = &logs[mode];
       Rng rng(seed * 1'000 + 7);
       BurstStorm storm{&sim, &rng, 120, 8};
-      sim.ScheduleInline(0, [&storm] { storm.Fire(); });
+      sim.Schedule(0, [&storm] { storm.Fire(); });
       sim.RunUntil(kTimeInfinity);
       g_burst_log = nullptr;
     }

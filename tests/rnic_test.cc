@@ -9,6 +9,7 @@
 #include "src/net/network.h"
 #include "src/rnic/psn_ring.h"
 #include "src/rnic/rnic_host.h"
+#include "src/topo/leaf_spine.h"
 
 namespace themis {
 namespace {
@@ -291,14 +292,15 @@ TEST(SenderQpTest, NoRtoAfterFullAck) {
   EXPECT_FALSE(flow.tx->HasWork());
 }
 
-TEST(SenderQpTest, AckPastSndNxtAdvancesUnaAndCreditsOnlyInFlightBytes) {
-  // A receiver fed data this QP never sent acknowledges past snd_nxt.
-  // snd_una follows the acknowledgment; only the in-flight bytes are
-  // credited, and no retransmit timer stays armed.
+TEST(SenderQpTest, AckPastSndNxtCoversOnlySentPackets) {
+  // A receiver fed data this QP never sent acknowledges past snd_nxt. The
+  // acknowledgment covers only what was sent: snd_una stops at snd_nxt, only
+  // the in-flight bytes are credited, and the unsent rest of the message
+  // still goes out and completes on its own acknowledgment.
   RnicHarness h;
   auto flow = h.MakeManualFlow(1, RnicHarness::Config());
   flow.tx->HandleAck(MakeControlPacket(PacketType::kAck, 1, h.b->id(), h.a->id(), 3, 0));
-  EXPECT_EQ(flow.tx->snd_una(), 3u);  // nothing ever sent: no ring to read
+  EXPECT_EQ(flow.tx->snd_una(), 0u);  // nothing ever sent: nothing covered
   EXPECT_EQ(flow.tx->snd_nxt(), 0u);
   EXPECT_EQ(flow.tx->unacked_bytes(), 0);
 
@@ -311,10 +313,21 @@ TEST(SenderQpTest, AckPastSndNxtAdvancesUnaAndCreditsOnlyInFlightBytes) {
   }
   EXPECT_EQ(flow2.tx->unacked_bytes(), int64_t{3} * kMtuPayload);
   flow2.tx->HandleAck(MakeControlPacket(PacketType::kAck, 1, h2.b->id(), h2.a->id(), 10, 0));
-  EXPECT_EQ(flow2.tx->snd_una(), 10u);
+  EXPECT_EQ(flow2.tx->snd_una(), 3u);
   EXPECT_EQ(flow2.tx->snd_nxt(), 3u);
   EXPECT_EQ(flow2.tx->unacked_bytes(), 0);
   EXPECT_FALSE(done);  // the message's last packet is still unsent
+
+  // The last packet goes out fresh as PSN 3, and its acknowledgment
+  // completes the message.
+  const Packet last = flow2.tx->DequeuePacket();
+  EXPECT_EQ(last.psn, 3u);
+  EXPECT_FALSE(last.retransmission);
+  EXPECT_EQ(flow2.tx->unacked_bytes(), 10);
+  flow2.tx->HandleAck(MakeControlPacket(PacketType::kAck, 1, h2.b->id(), h2.a->id(), 4, 0));
+  EXPECT_EQ(flow2.tx->snd_una(), 4u);
+  EXPECT_EQ(flow2.tx->unacked_bytes(), 0);
+  EXPECT_TRUE(done);
   h2.sim.RunUntil(10 * kMillisecond);
   EXPECT_EQ(flow2.tx->stats().timeouts, 0u);
 }
@@ -819,6 +832,63 @@ TEST(RnicHostTest, LossRecoveredByNackOnSinglePath) {
   EXPECT_EQ(flow.rx->in_order_bytes(), 10ull * kMtuPayload);
   EXPECT_GE(flow.tx->stats().rtx_packets, 1u);
   EXPECT_GE(flow.rx->stats().nacks_sent, 1u);
+}
+
+// Each dispatched same-tick run, as (port pointer, tag kind) per tag.
+std::vector<std::vector<std::pair<uint64_t, uint64_t>>>* g_port_runs = nullptr;
+
+size_t RecordingPortDispatch(Simulator& sim, const uint64_t* tags, size_t n) {
+  auto& run = g_port_runs->emplace_back();
+  for (size_t i = 0; i < n; ++i) {
+    run.emplace_back(tags[i] & ~kPortTagKindMask, tags[i] & kPortTagKindMask);
+  }
+  return Port::DispatchBurst(sim, tags, n);
+}
+
+TEST(RnicHostTest, TransmitHoldJoinsTheUplinkTxDoneRun) {
+  // host -> switch -> host. The NIC holds the line for each data packet's
+  // serialization time, so the hold ends on the tick the uplink's tx-done
+  // fires. Both are uplink tags: they reach the dispatcher in one same-tick
+  // run, tx-done first (it was scheduled first).
+  Simulator sim;
+  Network net(&sim);
+  std::vector<RnicHost*> hosts;
+  LeafSpineConfig config;
+  config.num_tors = 1;
+  config.num_spines = 1;
+  config.hosts_per_tor = 2;
+  BuildLeafSpine(net, config, [&hosts](Network& n, int, const std::string& name) {
+    RnicHost* host = n.MakeNode<RnicHost>(name);
+    hosts.push_back(host);
+    return host;
+  });
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> runs;
+  g_port_runs = &runs;
+  sim.SetLineRateDispatcher(&RecordingPortDispatch);
+  const QpConfig qp = RnicHarness::Config();
+  SenderQp* tx = hosts[0]->CreateSenderQp(1, hosts[1]->id(), qp);
+  ReceiverQp* rx = hosts[1]->CreateReceiverQp(1, hosts[0]->id(), qp);
+  constexpr int kPackets = 8;
+  tx->PostMessage(kPackets * kMtuPayload, nullptr);
+  sim.Run();
+  g_port_runs = nullptr;
+  EXPECT_EQ(rx->in_order_bytes(), uint64_t{kPackets} * kMtuPayload);
+
+  const uint64_t uplink = reinterpret_cast<uint64_t>(hosts[0]->uplink());
+  const std::pair<uint64_t, uint64_t> tx_done{uplink, kPortTagTxDone};
+  const std::pair<uint64_t, uint64_t> hold{uplink, kPortTagHold};
+  int holds = 0;
+  int after_tx_done = 0;
+  for (const auto& run : runs) {
+    for (size_t i = 0; i < run.size(); ++i) {
+      if (run[i] == hold) {
+        ++holds;
+        after_tx_done += i > 0 && run[i - 1] == tx_done ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(holds, kPackets);
+  EXPECT_EQ(after_tx_done, kPackets);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
+#include "tests/event_queue_pop.h"
 
 namespace themis {
 namespace {
@@ -92,7 +93,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   q.ScheduleAt(20, [&] { order.push_back(2); });
   TimePs t = 0;
   while (!q.empty()) {
-    q.Pop(&t)();
+    PopAndRun(q, &t);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(t, 30);
@@ -106,7 +107,7 @@ TEST(EventQueueTest, FifoTieBreakAtEqualTimes) {
   }
   TimePs t = 0;
   while (!q.empty()) {
-    q.Pop(&t)();
+    PopAndRun(q, &t);
   }
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -119,11 +120,11 @@ TEST(EventQueueTest, InterleavedScheduleAndPop) {
   q.ScheduleAt(10, [&] { order.push_back(1); });
   q.ScheduleAt(50, [&] { order.push_back(5); });
   TimePs t = 0;
-  q.Pop(&t)();
+  PopAndRun(q, &t);
   q.ScheduleAt(20, [&] { order.push_back(2); });
   q.ScheduleAt(60, [&] { order.push_back(6); });
   while (!q.empty()) {
-    q.Pop(&t)();
+    PopAndRun(q, &t);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 5, 6}));
 }

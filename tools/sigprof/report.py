@@ -15,6 +15,7 @@ libraries are charged to the dladdr symbol the sampler recorded.
 
 import argparse
 import collections
+import re
 import subprocess
 import sys
 
@@ -31,25 +32,36 @@ def is_library(frame):
     return function.startswith(LIBRARY_PREFIXES) or source.startswith(LIBRARY_DIRS)
 
 
+# What may follow a demangled name's parameter list, in any order: cv- and
+# ref-qualifiers, and the GCC clone suffixes of symbol-table names
+# (" [clone .isra.0]", ".constprop.1", ".part.0", ".cold").
+TRAILERS = re.compile(r"(?: const| volatile| &&| &| \[clone [^\]]*\])+$")
+
+
 def base_name(function):
-    """Drops the parameter list and any leading return type (demangled
-    template functions carry one), keeping the qualified name with its
-    template arguments."""
-    name = function.replace("(anonymous namespace)", "{anonymous}")
-    for qualifier in (" const", " volatile", " &&", " &"):
-        name = name.removesuffix(qualifier)
+    """Drops qualifiers, GCC clone suffixes, the parameter list and any
+    leading return type (demangled template functions carry one), keeping
+    the qualified name with its template arguments. Clones of a function
+    share its row."""
+    name = TRAILERS.sub("", function.replace("(anonymous namespace)", "{anonymous}"))
     if name.endswith(")"):
         depth = 0
         for i in range(len(name) - 1, -1, -1):
             depth += {")": 1, "(": -1}.get(name[i], 0)
             if depth == 0:
-                name = name[:i]
+                # An inlined call operator is named "operator()" with no
+                # parameter list: those parentheses are the name.
+                if not name[:i].endswith("operator"):
+                    name = name[:i]
                 break
+    # The last space outside brackets ends the return type. A space after
+    # "operator" is part of the name, and one after ")" precedes the
+    # qualifier of an enclosing function ("f() const::{lambda()#1}").
     depth = 0
     start = 0
     for i, ch in enumerate(name):
         depth += {"<": 1, "(": 1, "{": 1, ">": -1, ")": -1, "}": -1}.get(ch, 0)
-        if ch == " " and depth == 0 and not name[:i].endswith("operator"):
+        if ch == " " and depth == 0 and not name[:i].endswith(("operator", ")")):
             start = i + 1
     return name[start:].replace("{anonymous}", "(anonymous namespace)")
 
