@@ -282,8 +282,8 @@ struct ExportGolden {
 
 // EXPORT-GOLDEN-BEGIN
 const ExportGolden kExportGoldens[] = {
-    {Scheme::kThemis, 1, 0xF743C022D4190149ULL},
-    {Scheme::kRandomSpray, 1, 0xACEA77DD78810607ULL},
+    {Scheme::kThemis, 1, 0xB2C2CAB6410BC966ULL},
+    {Scheme::kRandomSpray, 1, 0xEB459F70087F24F6ULL},
 };
 // EXPORT-GOLDEN-END
 
