@@ -545,6 +545,21 @@ std::vector<ConfigHashGoldenCase> ConfigHashGoldenCases() {
     add("fct-point", FctPointHasher(c, w, "alistorage", w.window * 40));
   }
   {
+    // The first Fig. 5 Allreduce point: ECMP at (TI=900us, TD=4us), 16
+    // cross-rack groups of 8 MiB each, 60 s deadline.
+    ExperimentConfig c;
+    c.scheme = Scheme::kEcmp;
+    c.dcqcn_ti = 900 * kMicrosecond;
+    c.dcqcn_td = 4 * kMicrosecond;
+    ConfigHasher h;
+    AppendFields(h, c);
+    h.Field("collective.kind", static_cast<int64_t>(CollectiveKind::kAllreduce));
+    h.Field("collective.bytes", uint64_t{8} << 20);
+    h.Field("collective.groups", 16);
+    h.Field("harness.deadline", 60 * kSecond);
+    add("fig5-point", h);
+  }
+  {
     // Every enum token the canonical text can print: one config per
     // enumerator of each serialized enum, then a scenario using all four
     // fault kinds and all three down-time distributions.

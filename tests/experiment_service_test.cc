@@ -584,6 +584,7 @@ const ConfigHashGolden kConfigHashGoldens[] = {
     {"bounded-flow-table", 0xD52CC044300776D8ULL},
     {"scenario-tor-uplink-flap", 0xB6D4000497DEDC6CULL},
     {"fct-point", 0x0DC3738C83F3E6EDULL},
+    {"fig5-point", 0xD3019BF11F47DF00ULL},
     {"enum-tokens", 0x6BC34F45255E595FULL},
 };
 // CONFIG-HASH-GOLDEN-END
@@ -597,6 +598,19 @@ TEST(ConfigHashTest, GoldenTablePinsCanonicalSerialization) {
         << cases[i].label << " — regenerate with the regen-goldens target if the "
         << "serialization change is intentional";
   }
+}
+
+// The fig5-point golden is the hash the fig5-allreduce grid gives its first
+// point (at 8 MiB), so a Fig. 5 journal keeps resuming across refactors.
+TEST(ConfigHashTest, Fig5PointGoldenIsTheFirstFig5AllreducePoint) {
+  const std::vector<ConfigHashGoldenCase> cases = ConfigHashGoldenCases();
+  const auto golden = std::find_if(cases.begin(), cases.end(), [](const ConfigHashGoldenCase& c) {
+    return c.label == "fig5-point";
+  });
+  ASSERT_NE(golden, cases.end());
+  const GridDef grid =
+      Fig5GridDef(CollectiveKind::kAllreduce, 8ull << 20, "fig5-allreduce", "Fig5a-Allreduce");
+  EXPECT_EQ(golden->hash, grid.cases[0].point.config_hash);
 }
 
 TEST(ConfigHashTest, FctPointHashSeparatesWorkloadCdfAndDeadline) {
