@@ -13,22 +13,20 @@
 // and the shard-invariance tests all produce byte-identical tables. The
 // bench adds the pretty-printed analyses on top.
 //
-// Env knobs:
-//   THEMIS_FCT_SMOKE=1    tiny CI configuration (seconds, not minutes)
-//   THEMIS_FCT_CSV=path   also write the slowdown table as CSV
-//   THEMIS_SWEEP_THREADS  sweep parallelism; output is byte-identical for
-//                         any value (cases are pure functions of their
-//                         inputs, collected and printed in sweep order)
+// THEMIS_SWEEP_THREADS sets the sweep parallelism; the output is
+// byte-identical for any value (cases are pure functions of their inputs,
+// collected and printed in sweep order).
 //
-// To split the grid across machines, run it as `sweep_cli --grid=fct`.
+// To split the grid across machines, or to write the slowdown table as CSV,
+// run it as `sweep_cli --grid=fct` (`--grid=fct-smoke` is the tiny CI
+// configuration).
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "src/core/sweep_runner.h"
 #include "src/experiment_service/grids.h"
+#include "src/stats/report.h"
 #include "src/workload/flow_driver.h"
 
 namespace themis {
@@ -39,16 +37,9 @@ struct FctOutcome {
   FctWorkloadResult result;
 };
 
-bool SmokeMode() {
-  const char* env = std::getenv("THEMIS_FCT_SMOKE");
-  return env != nullptr && *env == '1';
-}
-
 int FctMain() {
-  const bool smoke = SmokeMode();
-  const std::vector<FctCaseSpec> cases = FctGridCases(smoke);
-  std::printf("bench_fct_workload: %zu cases (incast-heavy mix, %s scale)\n", cases.size(),
-              smoke ? "smoke" : "full");
+  const std::vector<FctCaseSpec> cases = FctGridCases(/*smoke=*/false);
+  std::printf("bench_fct_workload: %zu cases (incast-heavy mix, full scale)\n", cases.size());
 
   SweepRunner runner;
   const std::vector<FctOutcome> outcomes =
@@ -108,15 +99,6 @@ int FctMain() {
         static_cast<unsigned long long>(t.grace_deferred),
         static_cast<unsigned long long>(t.grace_cancelled),
         static_cast<unsigned long long>(t.grace_expired));
-  }
-
-  if (const char* csv = std::getenv("THEMIS_FCT_CSV"); csv != nullptr && *csv != '\0') {
-    if (table.WriteCsv(csv)) {
-      std::printf("\nwrote %s\n", csv);
-    } else {
-      std::fprintf(stderr, "could not write %s\n", csv);
-      ++failures;
-    }
   }
   return failures == 0 ? 0 : 1;
 }

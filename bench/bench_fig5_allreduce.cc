@@ -4,10 +4,10 @@
 // Paper result: Themis achieves 15.6%–75.3% lower completion time than
 // Adaptive Routing across the sweep; ECMP is generally worst (hash
 // collisions among the 16 elephant flows per group).
+//
+// The points are the `fig5-allreduce` grid (src/experiment_service/grids.cc);
+// `sweep_cli --grid=fig5-allreduce` shards it.
 
-#include "bench/fig5_common.h"
+#include "bench/grid_bench.h"
 
-int main() {
-  return themis::benchutil::Fig5Main(themis::CollectiveKind::kAllreduce,
-                                     "Fig5a-Allreduce", /*default_mib=*/8);
-}
+int main() { return themis::GridBenchMain("fig5-allreduce"); }

@@ -3,10 +3,10 @@
 //
 // Paper result: Themis achieves 11.5%–40.7% lower completion time than
 // Adaptive Routing across the sweep.
+//
+// The points are the `fig5-alltoall` grid (src/experiment_service/grids.cc);
+// `sweep_cli --grid=fig5-alltoall` shards it.
 
-#include "bench/fig5_common.h"
+#include "bench/grid_bench.h"
 
-int main() {
-  return themis::benchutil::Fig5Main(themis::CollectiveKind::kAlltoall,
-                                     "Fig5b-Alltoall", /*default_mib=*/8);
-}
+int main() { return themis::GridBenchMain("fig5-alltoall"); }

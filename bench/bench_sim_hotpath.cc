@@ -8,7 +8,10 @@
 //     pattern distilled: tiny captures, constant timer arm/cancel churn, a
 //     queue depth of a few hundred entries, all on the callback heap.
 //  2. A real Fig.-1-scale collective (2x4x8 hosts, RandomSpray + NIC-SR +
-//     DCQCN), measuring end-to-end events/sec through the full model stack.
+//     DCQCN), measuring end-to-end events/sec through the full model stack,
+//     with the same-tick drain off and on: nine off/on pairs, alternating
+//     which side runs first, each run timed in thread CPU time; the median
+//     pair ratio is what CI gates.
 //
 // "legacy" below is a faithful replica of the seed engine (std::function
 // events in a single binary heap; Timer via generation counting, so every
@@ -18,15 +21,18 @@
 // (the models only speak the current Simulator API) and is compared against
 // the seed numbers recorded in EXPERIMENTS.md.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/experiment_service/grids.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 
@@ -242,69 +248,101 @@ double BestChurnRate(const char* label, int num_flows, uint64_t budget, int reps
 
 // --- Real Fig.-1-scale run ---------------------------------------------------
 
-// Per-tier schedule counts and burst shape of the last rep, for the CI
-// artifact and the burst-on/off ablation.
-struct TierBreakdown {
+double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// One fig1 run: its event counts and the thread CPU time of its collective.
+// CPU time, not wall time, so time the host gives other processes does not
+// count against either side of the burst A/B.
+struct Fig1Run {
+  uint64_t events = 0;  // determinism anchor: identical with the drain on or off
+  double cpu_seconds = 0.0;
   uint64_t heap = 0;
   uint64_t wheel = 0;
   uint64_t calendar = 0;
-  double best_events_per_sec = 0.0;
-  uint64_t events_executed = 0;  // determinism anchor: identical across reps & modes
   SimBurstStats burst;
+
+  double events_per_sec() const { return static_cast<double>(events) / cpu_seconds; }
 };
 
-TierBreakdown RunFig1Scale(int reps, bool burst_enabled) {
-  const char* label = burst_enabled ? "fig1/burst-on " : "fig1/burst-off";
-  TierBreakdown breakdown;
-  for (int r = 0; r < reps; ++r) {
-    ExperimentConfig config;
-    config.num_tors = 2;
-    config.num_spines = 4;
-    config.hosts_per_tor = 4;
-    config.link_rate = Rate::Gbps(100);
-    config.scheme = Scheme::kRandomSpray;
-    config.transport = TransportKind::kNicSr;
-    config.cc = CcKind::kDcqcn;
-    config.dcqcn_ti = 10 * kMicrosecond;
-    config.dcqcn_td = 200 * kMicrosecond;
-    config.fabric_delay_skew = 200 * kNanosecond;
-    Experiment exp(config);
-    exp.sim().set_burst_enabled(burst_enabled);
-    const std::vector<std::vector<int>> rings = {{0, 4, 1, 5}, {2, 6, 3, 7}};
-    const auto t0 = std::chrono::steady_clock::now();
-    auto result =
-        exp.RunCollective(CollectiveKind::kNeighborRing, rings, 8ull << 20, 60 * kSecond);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    const double rate = exp.sim().events_executed() / secs / 1e6;
-    std::printf("  %s rep=%d done=%d sim_ms=%.3f executed=%llu wall=%.3fs -> "
-                "%.2f M events/s\n",
-                label, r, result.all_done ? 1 : 0, ToMilliseconds(result.tail_completion),
-                static_cast<unsigned long long>(exp.sim().events_executed()), secs, rate);
-    const EventQueue& q = exp.sim().queue();
-    const double best = rate > breakdown.best_events_per_sec ? rate
-                                                             : breakdown.best_events_per_sec;
-    breakdown = TierBreakdown{q.heap_scheduled(),     q.wheel_scheduled(),
-                              q.calendar_scheduled(), best,
-                              exp.sim().events_executed(), exp.sim().burst_stats()};
+Fig1Run RunFig1Scale(bool burst_enabled) {
+  Experiment exp(Fig1Config());
+  exp.sim().set_burst_enabled(burst_enabled);
+  const double t0 = ThreadCpuSeconds();
+  auto result =
+      exp.RunCollective(CollectiveKind::kNeighborRing, kFig1Rings, 8ull << 20, 60 * kSecond);
+  const EventQueue& q = exp.sim().queue();
+  const Fig1Run run{exp.sim().events_executed(), ThreadCpuSeconds() - t0, q.heap_scheduled(),
+                    q.wheel_scheduled(), q.calendar_scheduled(), exp.sim().burst_stats()};
+  std::printf("    burst-%-3s done=%d sim_ms=%.3f executed=%llu cpu=%.3fs -> %.2f M events/s\n",
+              burst_enabled ? "on" : "off", result.all_done ? 1 : 0,
+              ToMilliseconds(result.tail_completion),
+              static_cast<unsigned long long>(run.events), run.cpu_seconds,
+              run.events_per_sec() / 1e6);
+  return run;
+}
+
+// The burst A/B: off/on pairs, alternating which side runs first so a drift
+// in host speed favours neither, gated on the median pair ratio.
+struct BurstAblation {
+  Fig1Run on;   // the last on run: per-tier counts and burst shape
+  double best_on = 0.0;   // events/s
+  double best_off = 0.0;  // events/s
+  double median_speedup = 0.0;  // median over pairs of on/off events/s
+  // Of the first pair whose counts differ, else of the last pair.
+  uint64_t events_on = 0;
+  uint64_t events_off = 0;
+};
+
+BurstAblation RunBurstAblation(int pairs) {
+  BurstAblation ablation;
+  std::vector<double> speedups;
+  bool diverged = false;
+  for (int p = 0; p < pairs; ++p) {
+    std::printf("  pair %d:\n", p);
+    Fig1Run off;
+    Fig1Run on;
+    if (p % 2 == 0) {
+      off = RunFig1Scale(/*burst_enabled=*/false);
+      on = RunFig1Scale(/*burst_enabled=*/true);
+    } else {
+      on = RunFig1Scale(/*burst_enabled=*/true);
+      off = RunFig1Scale(/*burst_enabled=*/false);
+    }
+    speedups.push_back(on.events_per_sec() / off.events_per_sec());
+    ablation.best_on = std::max(ablation.best_on, on.events_per_sec());
+    ablation.best_off = std::max(ablation.best_off, off.events_per_sec());
+    if (!diverged) {
+      ablation.events_on = on.events;
+      ablation.events_off = off.events;
+      diverged = on.events != off.events;
+    }
+    ablation.on = on;
   }
+  std::sort(speedups.begin(), speedups.end());
+  ablation.median_speedup = speedups[speedups.size() / 2];
+
+  const Fig1Run& last = ablation.on;
   std::printf("  per-tier scheduled: heap=%llu wheel=%llu calendar=%llu "
               "(calendar share %.1f%%)\n",
-              static_cast<unsigned long long>(breakdown.heap),
-              static_cast<unsigned long long>(breakdown.wheel),
-              static_cast<unsigned long long>(breakdown.calendar),
-              100.0 * static_cast<double>(breakdown.calendar) /
-                  static_cast<double>(breakdown.heap + breakdown.wheel + breakdown.calendar));
-  if (burst_enabled && breakdown.burst.bursts > 0) {
-    const SimBurstStats& b = breakdown.burst;
+              static_cast<unsigned long long>(last.heap),
+              static_cast<unsigned long long>(last.wheel),
+              static_cast<unsigned long long>(last.calendar),
+              100.0 * static_cast<double>(last.calendar) /
+                  static_cast<double>(last.heap + last.wheel + last.calendar));
+  if (last.burst.bursts > 0) {
     std::printf("  bursts=%llu burst_events=%llu (%.1f%% of executed, mean len %.2f)\n",
-                static_cast<unsigned long long>(b.bursts),
-                static_cast<unsigned long long>(b.burst_events),
-                100.0 * static_cast<double>(b.burst_events) /
-                    static_cast<double>(breakdown.events_executed),
-                static_cast<double>(b.burst_events) / static_cast<double>(b.bursts));
+                static_cast<unsigned long long>(last.burst.bursts),
+                static_cast<unsigned long long>(last.burst.burst_events),
+                100.0 * static_cast<double>(last.burst.burst_events) /
+                    static_cast<double>(last.events),
+                static_cast<double>(last.burst.burst_events) /
+                    static_cast<double>(last.burst.bursts));
   }
-  return breakdown;
+  return ablation;
 }
 
 // Churn rates (best of kReps, M packet-events/s) of both engines.
@@ -316,8 +354,7 @@ struct ChurnRates {
 // Writes the per-tier breakdown, the burst-on/off ablation and the churn
 // rates as CSV when THEMIS_HOTPATH_CSV names a path; CI uploads it as an
 // artifact and gates on the burst and churn ratios.
-void MaybeWriteTierCsv(const TierBreakdown& on, const TierBreakdown& off,
-                       const ChurnRates& churn) {
+void MaybeWriteTierCsv(const BurstAblation& burst, const ChurnRates& churn) {
   const char* path = std::getenv("THEMIS_HOTPATH_CSV");
   if (path == nullptr || path[0] == '\0') {
     return;
@@ -328,17 +365,16 @@ void MaybeWriteTierCsv(const TierBreakdown& on, const TierBreakdown& off,
     return;
   }
   std::fprintf(f, "tier,events_scheduled\nheap,%llu\nwheel,%llu\ncalendar,%llu\n",
-               static_cast<unsigned long long>(on.heap),
-               static_cast<unsigned long long>(on.wheel),
-               static_cast<unsigned long long>(on.calendar));
-  std::fprintf(f, "fig1_best_events_per_sec,%.0f\n", on.best_events_per_sec * 1e6);
-  std::fprintf(f, "fig1_burst_off_events_per_sec,%.0f\n", off.best_events_per_sec * 1e6);
-  std::fprintf(f, "fig1_burst_speedup,%.3f\n",
-               on.best_events_per_sec / off.best_events_per_sec);
+               static_cast<unsigned long long>(burst.on.heap),
+               static_cast<unsigned long long>(burst.on.wheel),
+               static_cast<unsigned long long>(burst.on.calendar));
+  std::fprintf(f, "fig1_best_events_per_sec,%.0f\n", burst.best_on);
+  std::fprintf(f, "fig1_burst_off_events_per_sec,%.0f\n", burst.best_off);
+  std::fprintf(f, "fig1_burst_speedup,%.3f\n", burst.median_speedup);
   std::fprintf(f, "fig1_events_executed_on,%llu\n",
-               static_cast<unsigned long long>(on.events_executed));
+               static_cast<unsigned long long>(burst.events_on));
   std::fprintf(f, "fig1_events_executed_off,%llu\n",
-               static_cast<unsigned long long>(off.events_executed));
+               static_cast<unsigned long long>(burst.events_off));
   std::fprintf(f, "churn_legacy_packet_events_per_sec,%.0f\n", churn.legacy * 1e6);
   std::fprintf(f, "churn_packet_events_per_sec,%.0f\n", churn.engine * 1e6);
   std::fprintf(f, "churn_speedup,%.3f\n", churn.engine / churn.legacy);
@@ -363,17 +399,19 @@ int main() {
   std::printf("churn speedup (two-tier / legacy, best of %d): %.2fx\n\n", kReps,
               churn.engine / churn.legacy);
 
-  std::printf("Fig.1-scale collective (2 tors x 4 spines x 4 hosts, RandomSpray/NIC-SR/DCQCN):\n");
-  const TierBreakdown off = RunFig1Scale(kReps, /*burst_enabled=*/false);
-  const TierBreakdown on = RunFig1Scale(kReps, /*burst_enabled=*/true);
-  std::printf("fig1 burst ablation (best of %d): off=%.2f on=%.2f M events/s -> %.2fx",
-              kReps, off.best_events_per_sec, on.best_events_per_sec,
-              on.best_events_per_sec / off.best_events_per_sec);
-  std::printf(off.events_executed == on.events_executed
+  constexpr int kFig1Pairs = 9;
+  std::printf("Fig.1-scale collective (2 tors x 4 spines x 4 hosts, RandomSpray/NIC-SR/DCQCN), "
+              "%d burst off/on pairs:\n",
+              kFig1Pairs);
+  const BurstAblation burst = RunBurstAblation(kFig1Pairs);
+  std::printf("fig1 burst ablation (thread CPU time): best off=%.2f on=%.2f M events/s, "
+              "median pair on/off %.3fx",
+              burst.best_off / 1e6, burst.best_on / 1e6, burst.median_speedup);
+  std::printf(burst.events_on == burst.events_off
                   ? " (identical %llu events executed)\n"
                   : " (EVENT COUNT DIVERGED: off=%llu on=%llu)\n",
-              static_cast<unsigned long long>(off.events_executed),
-              static_cast<unsigned long long>(on.events_executed));
-  MaybeWriteTierCsv(on, off, churn);
-  return 0;
+              static_cast<unsigned long long>(burst.events_off),
+              static_cast<unsigned long long>(burst.events_on));
+  MaybeWriteTierCsv(burst, churn);
+  return burst.events_on == burst.events_off ? 0 : 1;
 }

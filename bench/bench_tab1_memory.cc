@@ -7,7 +7,8 @@
 // PathMap half of the estimate is cross-checked against an actually
 // constructed PathMap.
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/stats/report.h"
 #include "src/themis/memory_model.h"
@@ -16,29 +17,6 @@
 
 namespace themis {
 namespace {
-
-void BM_Tab1MemoryModel(benchmark::State& state) {
-  for (auto _ : state) {
-    MemoryModelParams params;  // Table 1 reference values
-    MemoryModelResult result = EstimateThemisMemory(params);
-    benchmark::DoNotOptimize(result.total_bytes);
-    state.counters["total_kb"] = static_cast<double>(result.total_bytes) / 1000.0;
-    state.counters["per_qp_bytes"] = static_cast<double>(result.per_qp_bytes);
-    state.counters["sram_pct"] = result.sram_fraction * 100.0;
-  }
-}
-BENCHMARK(BM_Tab1MemoryModel);
-
-void BM_PathMapConstruction(benchmark::State& state) {
-  // Building the 256-path PathMap offline (the Fig. 3 precomputation).
-  const std::vector<EcmpStage> stages{EcmpStage{.shift = 0, .group_size = 16},
-                                      EcmpStage{.shift = 8, .group_size = 16}};
-  for (auto _ : state) {
-    auto map = PathMap::Build(stages);
-    benchmark::DoNotOptimize(map);
-  }
-}
-BENCHMARK(BM_PathMapConstruction);
 
 void PrintTable1() {
   std::printf("\n=== Table 1 / Section 4: Themis memory overhead ===\n");
@@ -148,10 +126,7 @@ void PrintAnalyticVsMeasured() {
 }  // namespace
 }  // namespace themis
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   themis::PrintTable1();
   themis::PrintAnalyticVsMeasured();
   return 0;

@@ -181,7 +181,7 @@ int Run(const CliOptions& opts) {
   shard.threads = opts.threads;
   ShardExecutor executor(manifest, shard);
   const bool ok = executor.Run(
-      [&grid](const ManifestPoint& point) { return grid.cases[point.index].run(); }, &error);
+      [&grid](const ManifestPoint& point) { return CsvRows(grid.cases[point.index]); }, &error);
 
   const ShardStats& stats = executor.stats();
   std::printf(

@@ -220,7 +220,13 @@ int main(int argc, char** argv) {
         << ToMilliseconds(result.tail_completion) << ',' << exp.AggregateRetransmissionRatio()
         << ',' << exp.TotalNacksReceived() << ',' << exp.TotalPortDrops() << ','
         << exp.SprayBalanceIndex() << '\n';
-    std::printf("appended row to %s\n", run.csv_path.c_str());
+    csv.flush();
+    if (csv) {
+      std::printf("appended row to %s\n", run.csv_path.c_str());
+    } else {
+      std::fprintf(stderr, "could not write %s\n", run.csv_path.c_str());
+      status = 1;
+    }
   }
   return status;
 }

@@ -412,6 +412,35 @@ ConfigHasher FctPointHasher(const ExperimentConfig& config, const WorkloadSpec& 
   return h;
 }
 
+// What CollectivePointHash digests.
+ConfigHasher CollectivePointHasher(const ExperimentConfig& config, const CollectiveRun& run,
+                                   std::string_view label) {
+  ConfigHasher h;
+  AppendFields(h, config);
+  h.Field("collective.kind", static_cast<int64_t>(run.kind));
+  h.Field("collective.bytes", run.bytes);
+  h.Field("collective.groups",
+          run.groups.empty() ? run.cross_rack_groups : static_cast<int>(run.groups.size()));
+  for (size_t i = 0; i < run.groups.size(); ++i) {
+    std::string ranks;
+    for (const int rank : run.groups[i]) {
+      ranks.append(ranks.empty() ? "" : " ").append(std::to_string(rank));
+    }
+    h.Field("collective.group" + std::to_string(i), ranks);
+  }
+  h.Field("harness.deadline", run.deadline);
+  if (run.loss.duration > 0) {
+    h.Field("loss.spine", run.loss.spine);
+    h.Field("loss.port", run.loss.port);
+    h.Field("loss.at", run.loss.at);
+    h.Field("loss.duration", run.loss.duration);
+  }
+  if (!label.empty()) {
+    h.Field("row.scheme", label);
+  }
+  return h;
+}
+
 }  // namespace
 
 void ConfigHasher::AppendLine(std::string_view name, std::string_view value) {
@@ -486,6 +515,11 @@ uint64_t FctPointHash(const ExperimentConfig& config, const WorkloadSpec& worklo
   return FctPointHasher(config, workload, cdf_name, deadline).hash();
 }
 
+uint64_t CollectivePointHash(const ExperimentConfig& config, const CollectiveRun& run,
+                             std::string_view label) {
+  return CollectivePointHasher(config, run, label).hash();
+}
+
 std::vector<ConfigHashGoldenCase> ConfigHashGoldenCases() {
   std::vector<ConfigHashGoldenCase> cases;
   const auto add = [&cases](const char* label, const ConfigHasher& h) {
@@ -551,13 +585,31 @@ std::vector<ConfigHashGoldenCase> ConfigHashGoldenCases() {
     c.scheme = Scheme::kEcmp;
     c.dcqcn_ti = 900 * kMicrosecond;
     c.dcqcn_td = 4 * kMicrosecond;
-    ConfigHasher h;
-    AppendFields(h, c);
-    h.Field("collective.kind", static_cast<int64_t>(CollectiveKind::kAllreduce));
-    h.Field("collective.bytes", uint64_t{8} << 20);
-    h.Field("collective.groups", 16);
-    h.Field("harness.deadline", 60 * kSecond);
-    add("fig5-point", h);
+    CollectiveRun run;
+    run.kind = CollectiveKind::kAllreduce;
+    run.bytes = uint64_t{8} << 20;
+    run.cross_rack_groups = 16;
+    run.deadline = 60 * kSecond;
+    add("fig5-point", CollectivePointHasher(c, run, ""));
+  }
+  {
+    // A Fig. 1-fabric ablation point: Themis on the two neighbour rings, 8 MiB
+    // per hop, with spine 0's downlink to rack 1 blackholed at 30 us for 10 us.
+    ExperimentConfig c;
+    c.num_tors = 2;
+    c.num_spines = 4;
+    c.hosts_per_tor = 4;
+    c.link_rate = Rate::Gbps(100);
+    c.dcqcn_ti = 10 * kMicrosecond;
+    c.dcqcn_td = 200 * kMicrosecond;
+    c.fabric_delay_skew = 200 * kNanosecond;
+    CollectiveRun run;
+    run.kind = CollectiveKind::kNeighborRing;
+    run.bytes = uint64_t{8} << 20;
+    run.groups = {{0, 4, 1, 5}, {2, 6, 3, 7}};
+    run.deadline = 120 * kSecond;
+    run.loss = {.spine = 0, .port = 1, .at = 30 * kMicrosecond, .duration = 10 * kMicrosecond};
+    add("ring-loss-point", CollectivePointHasher(c, run, "Compensation/on/loss"));
   }
   {
     // Every enum token the canonical text can print: one config per

@@ -102,6 +102,35 @@ std::vector<ConfigField> ConfigFields(const WorkloadSpec& workload);
 uint64_t FctPointHash(const ExperimentConfig& config, const WorkloadSpec& workload,
                       std::string_view cdf_name, TimePs deadline);
 
+// One direction of one link blackholed for a while: spine `spine`'s egress
+// port `port` drops every packet it would send from `at` until
+// `at + duration`. A zero duration is no loss.
+struct LossWindow {
+  int spine = 0;
+  int port = 0;
+  TimePs at = 0;
+  TimePs duration = 0;
+};
+
+// What a collective grid point (grids.h) runs on its fabric.
+struct CollectiveRun {
+  CollectiveKind kind = CollectiveKind::kAllreduce;
+  uint64_t bytes = 0;
+  // Each group's ranks; when empty, `cross_rack_groups` groups of one host
+  // per ToR (Experiment::MakeCrossRackGroups).
+  std::vector<std::vector<int>> groups;
+  int cross_rack_groups = 0;
+  TimePs deadline = 0;
+  LossWindow loss;
+};
+
+// Hash of a collective grid point: fabric config + collective kind, bytes
+// and group count + harness deadline, which is a Fig. 5 point's whole text;
+// then only what a point has: one line per explicit group, the loss window,
+// and `label`, the text its row shows in place of the scheme name.
+uint64_t CollectivePointHash(const ExperimentConfig& config, const CollectiveRun& run,
+                             std::string_view label);
+
 // The representative set pinned by the config-hash golden table. Labels are
 // stable identifiers; the configs exercise every serialization branch
 // (fat-tree, fluid background, bounded flow table, scenario events, workload

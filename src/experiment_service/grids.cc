@@ -10,13 +10,10 @@
 namespace themis {
 namespace {
 
-std::string JoinCsv(const std::vector<std::string>& cells) {
+std::string JoinCsv(const RowCells& cells) {
   std::string row;
   for (size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) {
-      row.push_back(',');
-    }
-    row += cells[i];
+    row.append(i > 0 ? "," : "").append(cells[i]);
   }
   return row;
 }
@@ -51,11 +48,23 @@ SweepManifest GridManifest(const GridDef& grid) {
   return manifest;
 }
 
-bool RunGridSingleProcess(const GridDef& grid, int threads, const std::string& out_csv,
-                          std::string* error) {
+std::vector<std::string> CsvRows(const GridCase& c) {
+  std::vector<std::string> lines;
+  for (const RowCells& cells : c.run()) {
+    lines.push_back(JoinCsv(cells));
+  }
+  return lines;
+}
+
+std::vector<std::vector<RowCells>> RunGridRows(const GridDef& grid, int threads) {
   SweepRunner runner(threads);
-  std::vector<std::vector<std::string>> rows(grid.cases.size());
+  std::vector<std::vector<RowCells>> rows(grid.cases.size());
   runner.RunIndexed(grid.cases.size(), [&](size_t i) { rows[i] = grid.cases[i].run(); });
+  return rows;
+}
+
+bool WriteGridCsv(const GridDef& grid, const std::vector<std::vector<RowCells>>& rows,
+                  const std::string& out_csv, std::string* error) {
   std::ofstream out(out_csv);
   if (!out) {
     if (error != nullptr) {
@@ -64,9 +73,9 @@ bool RunGridSingleProcess(const GridDef& grid, int threads, const std::string& o
     return false;
   }
   out << grid.csv_header << "\n";
-  for (const std::vector<std::string>& case_rows : rows) {
-    for (const std::string& row : case_rows) {
-      out << row << "\n";
+  for (const std::vector<RowCells>& case_rows : rows) {
+    for (const RowCells& cells : case_rows) {
+      out << JoinCsv(cells) << "\n";
     }
   }
   out.flush();
@@ -77,6 +86,11 @@ bool RunGridSingleProcess(const GridDef& grid, int threads, const std::string& o
     return false;
   }
   return true;
+}
+
+bool RunGridSingleProcess(const GridDef& grid, int threads, const std::string& out_csv,
+                          std::string* error) {
+  return WriteGridCsv(grid, RunGridRows(grid, threads), out_csv, error);
 }
 
 // --- FCT workload grid ------------------------------------------------------
@@ -170,7 +184,7 @@ FctWorkloadResult RunFctGridCase(const FctCaseSpec& c) {
   return RunFctWorkload(FctCaseConfig(c), FctCaseWorkload(c), *c.cdf, FctCaseDeadline(c));
 }
 
-std::vector<std::string> FctCsvCells(const FctCaseSpec& c, const FctWorkloadResult& r) {
+RowCells FctCsvCells(const FctCaseSpec& c, const FctWorkloadResult& r) {
   return {c.cdf->name(),
           FormatDouble(c.load, 1),
           c.scheme.label,
@@ -200,24 +214,79 @@ GridDef FctGridDef(bool smoke) {
     gc.point.config_hash = FctCaseHash(cases[i]);
     gc.point.seed = FctCaseConfig(cases[i]).seed;
     gc.point.name = cases[i].name;
-    gc.run = [spec = cases[i]]() -> std::vector<std::string> {
+    gc.run = [spec = cases[i]]() -> std::vector<RowCells> {
       const FctWorkloadResult r = RunFctGridCase(spec);
       if (r.flows_completed == 0) {
         return {};  // failed case: no table row, same as the bench
       }
-      return {JoinCsv(FctCsvCells(spec, r))};
+      return {FctCsvCells(spec, r)};
     };
     grid.cases.push_back(std::move(gc));
   }
   return grid;
 }
 
-// --- Fig. 5 collective grids ------------------------------------------------
+// --- Collective grids ------------------------------------------------------
 
-const char kFig5CsvHeader[] =
+const char kCollectiveCsvHeader[] =
     "config,scheme,completion_ms,rtx_ratio,nacks@sender,nacks_blocked,drops";
 
+ExperimentConfig Fig1Config() {
+  ExperimentConfig config;
+  config.num_tors = 2;
+  config.num_spines = 4;
+  config.hosts_per_tor = 4;
+  config.link_rate = Rate::Gbps(100);
+  config.scheme = Scheme::kRandomSpray;
+  config.transport = TransportKind::kNicSr;
+  config.cc = CcKind::kDcqcn;
+  config.dcqcn_ti = 10 * kMicrosecond;
+  config.dcqcn_td = 200 * kMicrosecond;
+  config.fabric_delay_skew = 200 * kNanosecond;
+  return config;
+}
+
+const std::vector<std::vector<int>> kFig1Rings = {{0, 4, 1, 5}, {2, 6, 3, 7}};
+
 namespace {
+
+struct CollectiveCase {
+  std::string name;  // the manifest point's
+  ExperimentConfig config;
+  CollectiveRun run;
+  std::string config_cell;  // the row's first cell
+  std::string label;        // the row's scheme cell; empty: SchemeName(config.scheme)
+};
+
+std::vector<RowCells> RunCollectiveCase(const CollectiveCase& c) {
+  Experiment exp(c.config);
+  if (c.run.loss.duration > 0) {
+    const Topology& topo = exp.topology();
+    Port* port = topo.switches[topo.tors.size() + c.run.loss.spine]->port(c.run.loss.port);
+    exp.sim().Schedule(c.run.loss.at, [port] { port->set_failed(true); });
+    exp.sim().Schedule(c.run.loss.at + c.run.loss.duration, [port] { port->set_failed(false); });
+  }
+  const auto result = exp.RunCollective(
+      c.run.kind,
+      c.run.groups.empty() ? exp.MakeCrossRackGroups(c.run.cross_rack_groups) : c.run.groups,
+      c.run.bytes, c.run.deadline);
+  if (!result.all_done) {
+    return {};  // missed its deadline: no row
+  }
+  return {{c.config_cell, c.label.empty() ? SchemeName(c.config.scheme) : c.label,
+           FormatDouble(ToMilliseconds(result.tail_completion), 3),
+           FormatDouble(exp.AggregateRetransmissionRatio(), 4),
+           std::to_string(exp.TotalNacksReceived()),
+           std::to_string(exp.themis() != nullptr
+                              ? exp.themis()->AggregateDStats().nacks_blocked
+                              : 0),
+           std::to_string(exp.TotalPortDrops())}};
+}
+
+struct DcqcnPoint {
+  int64_t ti_us;
+  int64_t td_us;
+};
 
 constexpr DcqcnPoint kFig5Sweep[] = {
     {900, 4}, {300, 4}, {10, 4}, {10, 50}, {10, 200},
@@ -225,88 +294,169 @@ constexpr DcqcnPoint kFig5Sweep[] = {
 
 constexpr Scheme kFig5Schemes[] = {Scheme::kEcmp, Scheme::kAdaptiveRouting, Scheme::kThemis};
 
-}  // namespace
-
-std::vector<Fig5CaseSpec> Fig5GridCases(CollectiveKind kind, uint64_t bytes,
-                                        const std::string& figure_name) {
-  std::vector<Fig5CaseSpec> cases;
+// The paper's 16x16 leaf-spine at 400 Gbps (the config defaults), 16
+// cross-rack groups, across the DCQCN sweep.
+std::vector<CollectiveCase> Fig5Cases(CollectiveKind kind, uint64_t bytes,
+                                      const std::string& figure) {
+  std::vector<CollectiveCase> cases;
   for (const DcqcnPoint& point : kFig5Sweep) {
     for (Scheme scheme : kFig5Schemes) {
-      Fig5CaseSpec c;
-      c.kind = kind;
-      c.scheme = scheme;
-      c.point = point;
-      c.bytes = bytes;
-      c.name = figure_name + "/" + SchemeName(scheme) + "/TI=" + std::to_string(point.ti_us) +
-               "us/TD=" + std::to_string(point.td_us) + "us";
+      CollectiveCase c;
+      c.config.scheme = scheme;
+      c.config.dcqcn_ti = point.ti_us * kMicrosecond;
+      c.config.dcqcn_td = point.td_us * kMicrosecond;
+      c.run.kind = kind;
+      c.run.bytes = bytes;
+      c.run.cross_rack_groups = 16;
+      c.run.deadline = 60 * kSecond;
+      const std::string ti = std::to_string(point.ti_us);
+      const std::string td = std::to_string(point.td_us);
+      c.name = figure + "/" + SchemeName(scheme) + "/TI=" + ti + "us/TD=" + td + "us";
+      c.config_cell = "(TI=" + ti + "us,TD=" + td + "us)";
       cases.push_back(std::move(c));
     }
   }
   return cases;
 }
 
-ExperimentConfig Fig5CaseConfig(const Fig5CaseSpec& c) {
-  ExperimentConfig config;  // defaults are the paper's 16x16 @ 400G fabric
-  config.scheme = c.scheme;
-  config.dcqcn_ti = c.point.ti_us * kMicrosecond;
-  config.dcqcn_td = c.point.td_us * kMicrosecond;
-  return config;
+// A point on the Fig. 1 neighbour rings, `bytes` per hop.
+CollectiveCase RingCase(std::string name, const ExperimentConfig& config, uint64_t bytes) {
+  CollectiveCase c;
+  c.name = std::move(name);
+  c.config = config;
+  c.run.kind = CollectiveKind::kNeighborRing;
+  c.run.bytes = bytes;
+  c.run.groups = kFig1Rings;
+  c.run.deadline = 120 * kSecond;
+  return c;
 }
 
-uint64_t Fig5CaseHash(const Fig5CaseSpec& c) {
-  ConfigHasher h;
-  AppendFields(h, Fig5CaseConfig(c));
-  h.Field("collective.kind", static_cast<int64_t>(c.kind));
-  h.Field("collective.bytes", c.bytes);
-  h.Field("collective.groups", 16);
-  h.Field("harness.deadline", 60 * kSecond);
-  return h.hash();
-}
+// Themis's design choices: NACK compensation on/off with and without genuine
+// loss (Section 3.4), the PSN-queue factor F and entry encoding (Section 4),
+// and the spray mode (Fig. 3).
+std::vector<CollectiveCase> AblationThemisCases(uint64_t bytes) {
+  ExperimentConfig base = Fig1Config();
+  base.scheme = Scheme::kThemis;
+  std::vector<CollectiveCase> cases;
+  const auto add = [&](const std::string& label, const ExperimentConfig& config, bool loss) {
+    CollectiveCase c = RingCase(label, config, bytes);
+    c.label = label;
+    c.config_cell = loss ? "with-loss" : "lossless";
+    if (loss) {
+      // spine0's downlink to rack 1 drops for 10 us: loss only compensation
+      // (or the RTO) repairs.
+      c.run.loss = {.spine = 0, .port = 1, .at = 30 * kMicrosecond, .duration = 10 * kMicrosecond};
+    }
+    cases.push_back(std::move(c));
+  };
 
-Fig5Outcome RunFig5GridCase(const Fig5CaseSpec& c) {
-  Fig5Outcome out;
-  Experiment exp(Fig5CaseConfig(c));
-  auto groups = exp.MakeCrossRackGroups(16);
-  auto result = exp.RunCollective(c.kind, groups, c.bytes, 60 * kSecond);
-  if (!result.all_done) {
-    out.error = "collective did not finish before the deadline";
-    return out;
+  ExperimentConfig no_comp = base;
+  no_comp.themis_compensation = false;
+  add("Compensation/on/lossless", base, false);
+  add("Compensation/off/lossless", no_comp, false);
+  add("Compensation/on/loss", base, true);
+  add("Compensation/off/loss", no_comp, true);
+
+  for (double f : {0.25, 0.5, 1.0, 1.5, 3.0}) {
+    ExperimentConfig config = base;
+    config.themis_queue_expansion = f;
+    add("QueueFactor/F=" + FormatDouble(f, 2), config, false);
   }
-  out.ok = true;
-  out.sim_seconds = ToSeconds(result.tail_completion);
-  out.cells = {"(TI=" + std::to_string(c.point.ti_us) + "us,TD=" +
-                   std::to_string(c.point.td_us) + "us)",
-               SchemeName(c.scheme),
-               FormatDouble(ToMilliseconds(result.tail_completion), 3),
-               FormatDouble(exp.AggregateRetransmissionRatio(), 4),
-               std::to_string(exp.TotalNacksReceived()),
-               std::to_string(exp.themis() != nullptr
-                                  ? exp.themis()->AggregateDStats().nacks_blocked
-                                  : 0),
-               std::to_string(exp.TotalPortDrops())};
-  return out;
+
+  ExperimentConfig full = base;
+  full.themis_truncate_queue_entries = false;
+  add("QueueEncoding/truncated-1B", base, false);
+  add("QueueEncoding/full-3B", full, false);
+
+  ExperimentConfig sport = base;
+  sport.themis_spray_mode = SprayMode::kSportRewrite;
+  add("SprayMode/tor-egress", base, false);
+  add("SprayMode/sport-rewrite", sport, false);
+  return cases;
 }
 
-GridDef Fig5GridDef(CollectiveKind kind, uint64_t bytes, const std::string& grid_name,
-                    const std::string& figure_name) {
+// Reliable-transport generations under packet spraying (Sections 1-2).
+std::vector<CollectiveCase> AblationTransportCases(uint64_t bytes) {
+  struct Variant {
+    TransportKind transport;
+    Scheme scheme;
+    const char* label;
+  };
+  constexpr Variant kVariants[] = {
+      {TransportKind::kGoBackN, Scheme::kRandomSpray, "go-back-n (CX-4/5)"},
+      {TransportKind::kNicSr, Scheme::kRandomSpray, "nic-sr (CX-6/7)"},
+      {TransportKind::kIrn, Scheme::kRandomSpray, "irn-style NIC"},
+      {TransportKind::kMultipath, Scheme::kRandomSpray, "multipath NIC (MPRDMA-like)"},
+      {TransportKind::kIdeal, Scheme::kRandomSpray, "ideal oracle"},
+      {TransportKind::kNicSr, Scheme::kThemis, "nic-sr + Themis"},
+      {TransportKind::kNicSr, Scheme::kFlowlet, "nic-sr + flowlet"},
+      {TransportKind::kNicSr, Scheme::kSprayReorder, "nic-sr + ToR reordering"},
+  };
+  std::vector<CollectiveCase> cases;
+  for (const Variant& v : kVariants) {
+    ExperimentConfig config = Fig1Config();
+    config.transport = v.transport;
+    config.scheme = v.scheme;
+    CollectiveCase c = RingCase(std::string("Transport/") + v.label, config, bytes);
+    c.config_cell = "spraying-ring";
+    c.label = v.label;
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+// Sensitivity to multi-path delay variation: per-spine skew 0-400 ns.
+std::vector<CollectiveCase> AblationSkewCases(uint64_t bytes) {
+  std::vector<CollectiveCase> cases;
+  for (int64_t skew_ns : {0, 50, 100, 200, 400}) {
+    for (Scheme scheme : {Scheme::kRandomSpray, Scheme::kAdaptiveRouting, Scheme::kThemis}) {
+      ExperimentConfig config = Fig1Config();
+      config.scheme = scheme;
+      config.fabric_delay_skew = skew_ns * kNanosecond;
+      const std::string skew = std::to_string(skew_ns) + "ns";
+      CollectiveCase c =
+          RingCase(std::string("Skew/") + SchemeName(scheme) + "/" + skew, config, bytes);
+      c.config_cell = "skew=" + skew;
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
+}
+
+}  // namespace
+
+GridDef CollectiveGrid(const std::string& name, uint64_t bytes) {
   GridDef grid;
-  grid.name = grid_name;
-  grid.csv_header = kFig5CsvHeader;
-  std::vector<Fig5CaseSpec> cases = Fig5GridCases(kind, bytes, figure_name);
+  std::vector<CollectiveCase> cases;
+  if (name == "fig5-allreduce" || name == "fig5-alltoall") {
+    const bool allreduce = name == "fig5-allreduce";
+    const std::string figure = allreduce ? "Fig5a-Allreduce" : "Fig5b-Alltoall";
+    cases = Fig5Cases(allreduce ? CollectiveKind::kAllreduce : CollectiveKind::kAlltoall, bytes,
+                      figure);
+    grid.title = figure + " — tail communication completion time (" +
+                 std::to_string(bytes >> 20) + " MiB per collective; paper uses 300 MB)";
+  } else if (name == "ablation-themis") {
+    cases = AblationThemisCases(bytes);
+    grid.title = "Themis design-choice ablations";
+  } else if (name == "ablation-transport") {
+    cases = AblationTransportCases(bytes);
+    grid.title = "Transport-generation ablation under packet spraying";
+  } else if (name == "ablation-skew") {
+    cases = AblationSkewCases(bytes);
+    grid.title = "Multi-path delay-variation sensitivity";
+  } else {
+    return grid;
+  }
+  grid.name = name;
+  grid.csv_header = kCollectiveCsvHeader;
   grid.cases.reserve(cases.size());
   for (size_t i = 0; i < cases.size(); ++i) {
     GridCase gc;
     gc.point.index = static_cast<uint32_t>(i);
-    gc.point.config_hash = Fig5CaseHash(cases[i]);
-    gc.point.seed = Fig5CaseConfig(cases[i]).seed;
+    gc.point.config_hash = CollectivePointHash(cases[i].config, cases[i].run, cases[i].label);
+    gc.point.seed = cases[i].config.seed;
     gc.point.name = cases[i].name;
-    gc.run = [spec = cases[i]]() -> std::vector<std::string> {
-      const Fig5Outcome out = RunFig5GridCase(spec);
-      if (!out.ok) {
-        return {};  // skipped case (deadline): no summary row, as in the bench
-      }
-      return {JoinCsv(out.cells)};
-    };
+    gc.run = [c = std::move(cases[i])] { return RunCollectiveCase(c); };
     grid.cases.push_back(std::move(gc));
   }
   return grid;
@@ -325,31 +475,24 @@ uint64_t SweepMessageBytes(uint64_t default_mib) {
 }
 
 std::vector<std::string> BuiltinGridNames() {
-  return {"fct-smoke", "fct", "fig5-allreduce", "fig5-alltoall"};
+  return {"fct-smoke",       "fct",
+          "fig5-allreduce",  "fig5-alltoall",
+          "ablation-themis", "ablation-transport", "ablation-skew"};
 }
 
 GridDef MakeBuiltinGrid(const std::string& name, std::string* error) {
-  if (name == "fct-smoke") {
-    return FctGridDef(/*smoke=*/true);
+  if (name == "fct-smoke" || name == "fct") {
+    return FctGridDef(/*smoke=*/name == "fct-smoke");
   }
-  if (name == "fct") {
-    return FctGridDef(/*smoke=*/false);
-  }
-  if (name == "fig5-allreduce") {
-    return Fig5GridDef(CollectiveKind::kAllreduce, SweepMessageBytes(8), name,
-                       "Fig5a-Allreduce");
-  }
-  if (name == "fig5-alltoall") {
-    return Fig5GridDef(CollectiveKind::kAlltoall, SweepMessageBytes(8), name, "Fig5b-Alltoall");
-  }
-  if (error != nullptr) {
+  GridDef grid = CollectiveGrid(name, SweepMessageBytes(8));
+  if (grid.cases.empty() && error != nullptr) {
     *error = "unknown grid '" + name + "' (builtin:";
     for (const std::string& known : BuiltinGridNames()) {
       *error += " " + known;
     }
     *error += ")";
   }
-  return GridDef{};
+  return grid;
 }
 
 }  // namespace themis

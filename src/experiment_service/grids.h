@@ -2,11 +2,12 @@
 //
 // A GridDef is the executable side of a SweepManifest: the same ordered
 // point list plus, per point, a closure producing that point's CSV rows.
-// The two headline campaigns — the FCT workload sweep (bench_fct_workload)
-// and the Fig. 5 collective sweeps (bench_fig5_*) — are defined HERE and
-// consumed by three clients that must agree byte-for-byte:
+// Every sweep campaign — the FCT workload sweep (bench_fct_workload), the
+// Fig. 5 collective sweeps (bench_fig5_*) and the Fig. 1-fabric ablations
+// (bench_ablation_*) — is defined HERE and consumed by three clients that
+// must agree byte-for-byte:
 //
-//   * the bench binaries (pretty-printed analysis + single-process CSV),
+//   * the bench binaries (pretty-printed tables and analyses),
 //   * sweep_cli (shard launcher / merger for multi-machine campaigns),
 //   * the shard-invariance tests and the CI byte-equality gate.
 //
@@ -28,13 +29,19 @@ namespace themis {
 
 // --- Generic grid contract --------------------------------------------------
 
+// One CSV row, as cells. Rows are written comma-joined and unquoted, and a
+// cell may hold a comma (Fig. 5's "(TI=900us,TD=4us)"), so the written text
+// does not split back into cells: tables are built from these.
+using RowCells = std::vector<std::string>;
+
 struct GridCase {
   ManifestPoint point;  // index == position in the grid
-  std::function<std::vector<std::string>()> run;  // the point's CSV rows
+  std::function<std::vector<RowCells>()> run;  // the point's rows; none if it failed
 };
 
 struct GridDef {
   std::string name;
+  std::string title;  // heading of the table a bench prints for the grid
   std::string csv_header;
   std::vector<GridCase> cases;
 };
@@ -43,12 +50,22 @@ struct GridDef {
 SweepManifest GridManifest(const GridDef& grid);
 
 // "a,b,c" -> {"a", "b", "c"}; lets the benches build their pretty-printed
-// Table from the same kFctCsvHeader / kFig5CsvHeader the CSV writers use.
+// Table from the same header the CSV writers use.
 std::vector<std::string> SplitCsvHeader(const char* header);
 
-// Single-process reference: runs every case on a SweepRunner pool and writes
-// header + rows in case order — the byte stream every sharded merge of the
-// same grid must reproduce.
+// A case's rows as the CSV lines a shard journals.
+std::vector<std::string> CsvRows(const GridCase& c);
+
+// Runs every case on a SweepRunner pool (`threads` <= 0: THEMIS_SWEEP_THREADS,
+// then hardware concurrency) and returns each case's rows, in case order.
+std::vector<std::vector<RowCells>> RunGridRows(const GridDef& grid, int threads);
+
+// Writes header + `rows` in case order — the byte stream every sharded merge
+// of the same grid must reproduce.
+bool WriteGridCsv(const GridDef& grid, const std::vector<std::vector<RowCells>>& rows,
+                  const std::string& out_csv, std::string* error);
+
+// Single-process reference: RunGridRows, then WriteGridCsv.
 bool RunGridSingleProcess(const GridDef& grid, int threads, const std::string& out_csv,
                           std::string* error);
 
@@ -87,53 +104,41 @@ uint64_t FctCaseHash(const FctCaseSpec& c);
 FctWorkloadResult RunFctGridCase(const FctCaseSpec& c);
 
 // The slowdown-table cells for one completed case, bench column order.
-std::vector<std::string> FctCsvCells(const FctCaseSpec& c, const FctWorkloadResult& r);
+RowCells FctCsvCells(const FctCaseSpec& c, const FctWorkloadResult& r);
 extern const char kFctCsvHeader[];
 
 // Grid names "fct" / "fct-smoke".
 GridDef FctGridDef(bool smoke);
 
-// --- Fig. 5 collective grids (bench_fig5_allreduce / _alltoall) -------------
+// --- Collective grids (bench_fig5_*, bench_ablation_*) ----------------------
+//
+// One kind of point: a collective on a fabric, yielding one row of
+// kCollectiveCsvHeader, or none when it misses its deadline.
 
-struct DcqcnPoint {
-  int64_t ti_us;
-  int64_t td_us;
-};
+extern const char kCollectiveCsvHeader[];
 
-struct Fig5CaseSpec {
-  CollectiveKind kind;
-  Scheme scheme;
-  DcqcnPoint point;
-  uint64_t bytes;
-  std::string name;  // "<figure>/<scheme>/TI=..us/TD=..us"
-};
+// The Fig. 1 fabric (Fig. 1a): two racks of four hosts, four spines, 100 Gbps
+// links, RandomSpray + NIC-SR + DCQCN at (TI=10us, TD=200us), 200 ns of
+// per-spine delay skew. The ablations vary it point by point.
+ExperimentConfig Fig1Config();
 
-struct Fig5Outcome {
-  bool ok = false;
-  std::string error;
-  double sim_seconds = 0.0;
-  std::vector<std::string> cells;  // kFig5CsvHeader order; empty unless ok
-};
+// Its two neighbour rings; every hop crosses racks.
+extern const std::vector<std::vector<int>> kFig1Rings;
 
-std::vector<Fig5CaseSpec> Fig5GridCases(CollectiveKind kind, uint64_t bytes,
-                                        const std::string& figure_name);
-ExperimentConfig Fig5CaseConfig(const Fig5CaseSpec& c);
-uint64_t Fig5CaseHash(const Fig5CaseSpec& c);
-Fig5Outcome RunFig5GridCase(const Fig5CaseSpec& c);
-extern const char kFig5CsvHeader[];
-
-GridDef Fig5GridDef(CollectiveKind kind, uint64_t bytes, const std::string& grid_name,
-                    const std::string& figure_name);
+// "fig5-allreduce" / "fig5-alltoall" (`bytes` per collective) and
+// "ablation-themis" / "ablation-transport" / "ablation-skew" (`bytes` per
+// ring hop); an empty grid for any other name.
+GridDef CollectiveGrid(const std::string& name, uint64_t bytes);
 
 // --- Registry + launcher plumbing -------------------------------------------
 
-// Builtin grids by name: "fct", "fct-smoke", "fig5-allreduce",
-// "fig5-alltoall". Returns an empty grid (and `error`) for unknown names.
+// Builtin grids by name: "fct", "fct-smoke" and the collective grids at
+// SweepMessageBytes(8). Returns an empty grid (and `error`) for unknown names.
 GridDef MakeBuiltinGrid(const std::string& name, std::string* error);
 std::vector<std::string> BuiltinGridNames();
 
-// Collective message sizing shared with bench_common.h: THEMIS_FULL_SCALE=1
-// -> the paper's 300 MB, THEMIS_BENCH_MB=<n> -> n MiB, else `default_mib`.
+// Collective message sizing, the only reader of THEMIS_FULL_SCALE=1 (the
+// paper's 300 MB) and THEMIS_BENCH_MB=<n> (n MiB); else `default_mib`.
 uint64_t SweepMessageBytes(uint64_t default_mib);
 
 }  // namespace themis

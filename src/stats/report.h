@@ -49,7 +49,8 @@ class Table {
 
   void Print() const { std::cout << Render() << std::flush; }
 
-  // Writes rows as CSV (headers first).
+  // Writes rows as CSV (headers first). False when the file cannot be
+  // opened or a write to it fails.
   bool WriteCsv(const std::string& path) const {
     std::ofstream out(path);
     if (!out) {
@@ -68,7 +69,8 @@ class Table {
     for (const auto& row : rows_) {
       write_row(row);
     }
-    return true;
+    out.flush();
+    return static_cast<bool>(out);
   }
 
  private:

@@ -59,13 +59,13 @@ uint64_t SyntheticHash(uint32_t index) {
   return h.hash();
 }
 
-std::vector<std::string> SyntheticRows(uint32_t i) {
+std::vector<RowCells> SyntheticRows(uint32_t i) {
   if (i % 5 == 4) {
     return {};
   }
-  const std::string row = std::to_string(i) + "," + std::to_string(i * i);
+  const RowCells row = {std::to_string(i), std::to_string(i * i)};
   if (i % 5 == 2) {
-    return {row, std::to_string(i) + ",extra"};
+    return {row, {std::to_string(i), "extra"}};
   }
   return {row};
 }
@@ -105,7 +105,7 @@ bool RunShardsAndMerge(const GridDef& grid, const std::string& dir, int shard_co
     options.threads = threads;
     ShardExecutor executor(manifest, options);
     if (!executor.Run(
-            [&grid](const ManifestPoint& point) { return grid.cases[point.index].run(); },
+            [&grid](const ManifestPoint& point) { return CsvRows(grid.cases[point.index]); },
             error)) {
       return false;
     }
@@ -206,33 +206,40 @@ TEST(ShardInvarianceTest, SingleProcessOutputIdenticalAcrossThreadCounts) {
   EXPECT_EQ(ReadFile(dir + "/t1.csv"), ReadFile(dir + "/t5.csv"));
 }
 
-// The acceptance gate: the real FCT smoke grid, sharded {1, 2, 3, 7} ways,
-// must merge to the exact byte stream of the single-process sweep.
+// The acceptance gate: the real FCT smoke grid and a collective grid (the
+// Themis ablations at 1 MiB per ring hop), sharded {1, 2, 3, 7} ways, must
+// merge to the exact byte stream of the single-process sweep.
 TEST(ShardInvarianceTest, FctSmokeGridMergesByteIdentical) {
-  const std::string dir = ScratchDir("fct_smoke");
-  const GridDef grid = FctGridDef(/*smoke=*/true);
-  ASSERT_EQ(grid.cases.size(), 16u);
+  const std::pair<GridDef, size_t> grids[] = {
+      {FctGridDef(/*smoke=*/true), 16},
+      {CollectiveGrid("ablation-themis", 1ull << 20), 13},
+  };
+  for (const auto& [grid, points] : grids) {
+    SCOPED_TRACE(grid.name);
+    const std::string dir = ScratchDir(grid.name);
+    ASSERT_EQ(grid.cases.size(), points);
 
-  std::string error;
-  const std::string ref_csv = dir + "/reference.csv";
-  ASSERT_TRUE(RunGridSingleProcess(grid, /*threads=*/0, ref_csv, &error)) << error;
-  const std::string reference = ReadFile(ref_csv);
-  ASSERT_GT(reference.size(), std::string(kFctCsvHeader).size());
+    std::string error;
+    const std::string ref_csv = dir + "/reference.csv";
+    ASSERT_TRUE(RunGridSingleProcess(grid, /*threads=*/0, ref_csv, &error)) << error;
+    const std::string reference = ReadFile(ref_csv);
+    ASSERT_GT(reference.size(), grid.csv_header.size() + 1);
 
-  for (int shard_count : {1, 2, 3, 7}) {
-    const std::string subdir = dir + "/n" + std::to_string(shard_count);
-    std::filesystem::create_directories(subdir);
-    // Run shards highest-first: completion order is the reverse of manifest
-    // order, which the merge must not care about.
-    std::vector<int> order;
-    for (int s = shard_count - 1; s >= 0; --s) {
-      order.push_back(s);
+    for (int shard_count : {1, 2, 3, 7}) {
+      const std::string subdir = dir + "/n" + std::to_string(shard_count);
+      std::filesystem::create_directories(subdir);
+      // Run shards highest-first: completion order is the reverse of manifest
+      // order, which the merge must not care about.
+      std::vector<int> order;
+      for (int s = shard_count - 1; s >= 0; --s) {
+        order.push_back(s);
+      }
+      const std::string merged_csv = subdir + "/merged.csv";
+      ASSERT_TRUE(
+          RunShardsAndMerge(grid, subdir, shard_count, order, /*threads=*/0, merged_csv, &error))
+          << error;
+      EXPECT_EQ(ReadFile(merged_csv), reference) << "shard_count=" << shard_count;
     }
-    const std::string merged_csv = subdir + "/merged.csv";
-    ASSERT_TRUE(
-        RunShardsAndMerge(grid, subdir, shard_count, order, /*threads=*/0, merged_csv, &error))
-        << error;
-    EXPECT_EQ(ReadFile(merged_csv), reference) << "shard_count=" << shard_count;
   }
 }
 
@@ -254,7 +261,7 @@ TEST(ResumeTest, TruncatedJournalRecomputesOnlyMissingPoints) {
   {
     ShardExecutor executor(manifest, options);
     ASSERT_TRUE(executor.Run(
-        [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error))
+        [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error))
         << error;
     EXPECT_EQ(executor.stats().points_done, static_cast<uint64_t>(kSyntheticPoints));
   }
@@ -282,7 +289,7 @@ TEST(ResumeTest, TruncatedJournalRecomputesOnlyMissingPoints) {
   resume.resume = true;
   ShardExecutor executor(manifest, resume);
   ASSERT_TRUE(executor.Run(
-      [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error))
+      [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error))
       << error;
 
   // Exactly the journal-missing points (including the torn one) re-executed.
@@ -311,7 +318,7 @@ TEST(ResumeTest, EditedPointRecomputesOnlyThatPoint) {
     options.dir = dir;
     ShardExecutor executor(GridManifest(grid), options);
     ASSERT_TRUE(executor.Run(
-        [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error))
+        [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error))
         << error;
   }
 
@@ -322,9 +329,9 @@ TEST(ResumeTest, EditedPointRecomputesOnlyThatPoint) {
   h.Field("synthetic.index", static_cast<uint64_t>(kEdited));
   h.Field("synthetic.version", 2);
   grid.cases[kEdited].point.config_hash = h.hash();
-  grid.cases[kEdited].run = [&runs]() -> std::vector<std::string> {
+  grid.cases[kEdited].run = [&runs]() -> std::vector<RowCells> {
     ++runs[kEdited];
-    return {"7,edited"};
+    return {{"7", "edited"}};
   };
 
   for (auto& r : runs) {
@@ -336,7 +343,7 @@ TEST(ResumeTest, EditedPointRecomputesOnlyThatPoint) {
   const SweepManifest manifest = GridManifest(grid);
   ShardExecutor executor(manifest, resume);
   ASSERT_TRUE(executor.Run(
-      [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error))
+      [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error))
       << error;
 
   EXPECT_EQ(executor.stats().points_done, 1u);
@@ -364,7 +371,7 @@ TEST(ResumeTest, FreshRunWithoutResumeRecomputesEverything) {
     options.dir = dir;
     ShardExecutor executor(manifest, options);
     ASSERT_TRUE(executor.Run(
-        [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error))
+        [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error))
         << error;
     EXPECT_EQ(executor.stats().points_skipped, 0u) << "pass " << pass;
   }
@@ -378,7 +385,7 @@ TEST(ResumeTest, FreshRunWithoutResumeRecomputesEverything) {
 TEST(ShardExecutorTest, ThrowingPointFailsShardButJournalsTheRest) {
   const std::string dir = ScratchDir("throwing_point");
   GridDef grid = SyntheticGrid();
-  grid.cases[3].run = []() -> std::vector<std::string> {
+  grid.cases[3].run = []() -> std::vector<RowCells> {
     throw std::runtime_error("simulated crash in point 3");
   };
   const SweepManifest manifest = GridManifest(grid);
@@ -389,7 +396,7 @@ TEST(ShardExecutorTest, ThrowingPointFailsShardButJournalsTheRest) {
   std::string error;
   ShardExecutor executor(manifest, options);
   EXPECT_FALSE(executor.Run(
-      [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error));
+      [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error));
   EXPECT_NE(error.find("point 3"), std::string::npos) << error;
   EXPECT_EQ(executor.stats().points_failed, 1u);
   EXPECT_EQ(executor.stats().points_done, static_cast<uint64_t>(kSyntheticPoints - 1));
@@ -402,12 +409,12 @@ TEST(ShardExecutorTest, ThrowingPointFailsShardButJournalsTheRest) {
     EXPECT_NE(r.index, 3u);
   }
 
-  grid.cases[3].run = []() -> std::vector<std::string> { return {"3,9"}; };
+  grid.cases[3].run = []() -> std::vector<RowCells> { return {{"3", "9"}}; };
   ShardOptions resume = options;
   resume.resume = true;
   ShardExecutor retry(manifest, resume);
   ASSERT_TRUE(retry.Run(
-      [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error))
+      [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error))
       << error;
   EXPECT_EQ(retry.stats().points_done, 1u);
   EXPECT_EQ(retry.stats().points_skipped, static_cast<uint64_t>(kSyntheticPoints - 1));
@@ -438,7 +445,7 @@ TEST(MergeTest, MissingPointsProduceActionableError) {
   std::string error;
   ShardExecutor executor(manifest, options);
   ASSERT_TRUE(executor.Run(
-      [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error))
+      [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error))
       << error;
 
   EXPECT_FALSE(MergeShardDir(manifest, dir, 2, dir + "/merged.csv", &error));
@@ -458,7 +465,7 @@ TEST(MergeTest, ConflictingRowsForOnePointAreAnError) {
       return o;
     }());
     ASSERT_TRUE(executor.Run(
-        [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error))
+        [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error))
         << error;
   }
 
@@ -547,7 +554,7 @@ TEST(TelemetryTest, ShardCountersExposeRunStats) {
   std::string error;
   ShardExecutor executor(GridManifest(grid), options);
   ASSERT_TRUE(executor.Run(
-      [&grid](const ManifestPoint& p) { return grid.cases[p.index].run(); }, &error))
+      [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error))
       << error;
 
   CounterRegistry registry;
@@ -585,6 +592,7 @@ const ConfigHashGolden kConfigHashGoldens[] = {
     {"scenario-tor-uplink-flap", 0xB6D4000497DEDC6CULL},
     {"fct-point", 0x0DC3738C83F3E6EDULL},
     {"fig5-point", 0xD3019BF11F47DF00ULL},
+    {"ring-loss-point", 0x7ECB72CC7A6493F0ULL},
     {"enum-tokens", 0x6BC34F45255E595FULL},
 };
 // CONFIG-HASH-GOLDEN-END
@@ -600,17 +608,59 @@ TEST(ConfigHashTest, GoldenTablePinsCanonicalSerialization) {
   }
 }
 
-// The fig5-point golden is the hash the fig5-allreduce grid gives its first
-// point (at 8 MiB), so a Fig. 5 journal keeps resuming across refactors.
-TEST(ConfigHashTest, Fig5PointGoldenIsTheFirstFig5AllreducePoint) {
+// The fig5-point and ring-loss-point goldens are hashes the builtin grids
+// give real points at 8 MiB: a Fig. 5 journal keeps resuming across
+// refactors, and the ablations' loss window and label stay pinned.
+TEST(ConfigHashTest, CollectiveGoldensAreBuiltinGridPoints) {
   const std::vector<ConfigHashGoldenCase> cases = ConfigHashGoldenCases();
-  const auto golden = std::find_if(cases.begin(), cases.end(), [](const ConfigHashGoldenCase& c) {
-    return c.label == "fig5-point";
-  });
-  ASSERT_NE(golden, cases.end());
-  const GridDef grid =
-      Fig5GridDef(CollectiveKind::kAllreduce, 8ull << 20, "fig5-allreduce", "Fig5a-Allreduce");
-  EXPECT_EQ(golden->hash, grid.cases[0].point.config_hash);
+  const auto golden = [&cases](const std::string& label) {
+    const auto it = std::find_if(cases.begin(), cases.end(),
+                                 [&label](const ConfigHashGoldenCase& c) { return c.label == label; });
+    EXPECT_NE(it, cases.end()) << label;
+    return it == cases.end() ? 0 : it->hash;
+  };
+  const GridDef fig5 = CollectiveGrid("fig5-allreduce", 8ull << 20);
+  EXPECT_EQ(fig5.cases[0].point.name, "Fig5a-Allreduce/ECMP/TI=900us/TD=4us");
+  EXPECT_EQ(golden("fig5-point"), fig5.cases[0].point.config_hash);
+  const GridDef ablation = CollectiveGrid("ablation-themis", 8ull << 20);
+  EXPECT_EQ(ablation.cases[2].point.name, "Compensation/on/loss");
+  EXPECT_EQ(golden("ring-loss-point"), ablation.cases[2].point.config_hash);
+}
+
+TEST(ConfigHashTest, CollectivePointHashSeparatesGroupsDeadlineAndLossWindow) {
+  const ExperimentConfig config;
+  CollectiveRun run;
+  run.kind = CollectiveKind::kNeighborRing;
+  run.bytes = 1 << 20;
+  run.groups = {{0, 4, 1, 5}, {2, 6, 3, 7}};
+  run.deadline = kSecond;
+  const uint64_t base = CollectivePointHash(config, run, "");
+  EXPECT_EQ(CollectivePointHash(config, run, ""), base);
+  EXPECT_NE(CollectivePointHash(config, run, "variant"), base);
+
+  // Whether editing `from` with `edit` moves the hash.
+  const auto moves = [&config](const CollectiveRun& from, const auto& edit) {
+    CollectiveRun to = from;
+    edit(to);
+    return CollectivePointHash(config, to, "") != CollectivePointHash(config, from, "");
+  };
+  EXPECT_TRUE(moves(run, [](CollectiveRun& r) { r.groups[1] = {2, 7, 3, 6}; }));
+  EXPECT_TRUE(moves(run, [](CollectiveRun& r) { r.groups.pop_back(); }));
+  EXPECT_TRUE(moves(run, [](CollectiveRun& r) {
+    r.groups.clear();
+    r.cross_rack_groups = 2;
+  }));
+  EXPECT_TRUE(moves(run, [](CollectiveRun& r) { r.deadline *= 2; }));
+
+  // A zero-length window is no loss; every field of a real one counts.
+  EXPECT_FALSE(moves(run, [](CollectiveRun& r) { r.loss.port = 1; }));
+  EXPECT_TRUE(moves(run, [](CollectiveRun& r) { r.loss.duration = 10 * kMicrosecond; }));
+  CollectiveRun lossy = run;
+  lossy.loss = {.spine = 0, .port = 1, .at = 30 * kMicrosecond, .duration = 10 * kMicrosecond};
+  EXPECT_TRUE(moves(lossy, [](CollectiveRun& r) { r.loss.spine = 1; }));
+  EXPECT_TRUE(moves(lossy, [](CollectiveRun& r) { r.loss.port = 2; }));
+  EXPECT_TRUE(moves(lossy, [](CollectiveRun& r) { r.loss.at += kMicrosecond; }));
+  EXPECT_TRUE(moves(lossy, [](CollectiveRun& r) { r.loss.duration += kMicrosecond; }));
 }
 
 TEST(ConfigHashTest, FctPointHashSeparatesWorkloadCdfAndDeadline) {

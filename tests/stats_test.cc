@@ -165,6 +165,17 @@ TEST(TableTest, WritesCsv) {
   std::remove(path.c_str());
 }
 
+// A write that fails after the file opened (here: no space left) is a
+// failure, not a silently truncated table.
+TEST(TableTest, WriteCsvFailsWhenTheDeviceIsFull) {
+  if (!std::ifstream("/dev/full").good()) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  Table table({"a", "b"});
+  table.AddRow({"1", "2"});
+  EXPECT_FALSE(table.WriteCsv("/dev/full"));
+}
+
 TEST(FormatDoubleTest, RespectsDecimals) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(3.14159, 0), "3");
