@@ -243,6 +243,25 @@ TEST(ShardInvarianceTest, FctSmokeGridMergesByteIdentical) {
   }
 }
 
+// --- Collective grids ---------------------------------------------------------
+
+// The with-loss ablation points blackhole one spine downlink in one
+// direction for 10 us: packets drop there, and nowhere in the lossless ones.
+TEST(CollectiveGridTest, LossWindowDropsPacketsOnlyInWithLossPoints) {
+  const GridDef grid = CollectiveGrid("ablation-themis", 1ull << 20);
+  const auto row = [&grid](size_t i) {
+    const std::vector<RowCells> rows = grid.cases[i].run();
+    EXPECT_EQ(rows.size(), 1u) << grid.cases[i].point.name;
+    return rows.empty() ? RowCells(7) : rows[0];
+  };
+  const RowCells lossless = row(0);
+  const RowCells lossy = row(2);
+  EXPECT_EQ(lossless[0], "lossless");
+  EXPECT_EQ(lossless[6], "0");  // drops
+  EXPECT_EQ(lossy[0], "with-loss");
+  EXPECT_NE(lossy[6], "0");
+}
+
 // --- Resume (satellite 2) -----------------------------------------------------
 
 TEST(ResumeTest, TruncatedJournalRecomputesOnlyMissingPoints) {
