@@ -429,11 +429,11 @@ ConfigHasher CollectivePointHasher(const ExperimentConfig& config, const Collect
     h.Field("collective.group" + std::to_string(i), ranks);
   }
   h.Field("harness.deadline", run.deadline);
-  if (run.loss.duration > 0) {
-    h.Field("loss.spine", run.loss.spine);
-    h.Field("loss.port", run.loss.port);
-    h.Field("loss.at", run.loss.at);
-    h.Field("loss.duration", run.loss.duration);
+  if (run.with_loss) {
+    h.Field("loss.spine", CollectiveRun::kLossSpine);
+    h.Field("loss.port", CollectiveRun::kLossPort);
+    h.Field("loss.at", CollectiveRun::kLossAt);
+    h.Field("loss.duration", CollectiveRun::kLossDuration);
   }
   if (!label.empty()) {
     h.Field("row.scheme", label);
@@ -608,7 +608,7 @@ std::vector<ConfigHashGoldenCase> ConfigHashGoldenCases() {
     run.bytes = uint64_t{8} << 20;
     run.groups = {{0, 4, 1, 5}, {2, 6, 3, 7}};
     run.deadline = 120 * kSecond;
-    run.loss = {.spine = 0, .port = 1, .at = 30 * kMicrosecond, .duration = 10 * kMicrosecond};
+    run.with_loss = true;
     add("ring-loss-point", CollectivePointHasher(c, run, "Compensation/on/loss"));
   }
   {

@@ -102,16 +102,6 @@ std::vector<ConfigField> ConfigFields(const WorkloadSpec& workload);
 uint64_t FctPointHash(const ExperimentConfig& config, const WorkloadSpec& workload,
                       std::string_view cdf_name, TimePs deadline);
 
-// One direction of one link blackholed for a while: spine `spine`'s egress
-// port `port` drops every packet it would send from `at` until
-// `at + duration`. A zero duration is no loss.
-struct LossWindow {
-  int spine = 0;
-  int port = 0;
-  TimePs at = 0;
-  TimePs duration = 0;
-};
-
 // What a collective grid point (grids.h) runs on its fabric.
 struct CollectiveRun {
   CollectiveKind kind = CollectiveKind::kAllreduce;
@@ -121,7 +111,14 @@ struct CollectiveRun {
   std::vector<std::vector<int>> groups;
   int cross_rack_groups = 0;
   TimePs deadline = 0;
-  LossWindow loss;
+  // One direction of one link blackholed: spine kLossSpine's egress port
+  // kLossPort (spine 0's downlink to rack 1) drops every packet it would
+  // send from kLossAt for kLossDuration.
+  bool with_loss = false;
+  static constexpr int kLossSpine = 0;
+  static constexpr int kLossPort = 1;
+  static constexpr TimePs kLossAt = 30 * kMicrosecond;
+  static constexpr TimePs kLossDuration = 10 * kMicrosecond;
 };
 
 // Hash of a collective grid point: fabric config + collective kind, bytes

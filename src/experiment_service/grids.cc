@@ -260,11 +260,13 @@ struct CollectiveCase {
 
 std::vector<RowCells> RunCollectiveCase(const CollectiveCase& c) {
   Experiment exp(c.config);
-  if (c.run.loss.duration > 0) {
+  if (c.run.with_loss) {
     const Topology& topo = exp.topology();
-    Port* port = topo.switches[topo.tors.size() + c.run.loss.spine]->port(c.run.loss.port);
-    exp.sim().Schedule(c.run.loss.at, [port] { port->set_failed(true); });
-    exp.sim().Schedule(c.run.loss.at + c.run.loss.duration, [port] { port->set_failed(false); });
+    Port* port = topo.switches[topo.tors.size() + CollectiveRun::kLossSpine]->port(
+        CollectiveRun::kLossPort);
+    exp.sim().Schedule(CollectiveRun::kLossAt, [port] { port->set_failed(true); });
+    exp.sim().Schedule(CollectiveRun::kLossAt + CollectiveRun::kLossDuration,
+                       [port] { port->set_failed(false); });
   }
   const auto result = exp.RunCollective(
       c.run.kind,
@@ -342,11 +344,9 @@ std::vector<CollectiveCase> AblationThemisCases(uint64_t bytes) {
     CollectiveCase c = RingCase(label, config, bytes);
     c.label = label;
     c.config_cell = loss ? "with-loss" : "lossless";
-    if (loss) {
-      // spine0's downlink to rack 1 drops for 10 us: loss only compensation
-      // (or the RTO) repairs.
-      c.run.loss = {.spine = 0, .port = 1, .at = 30 * kMicrosecond, .duration = 10 * kMicrosecond};
-    }
+    // With loss, spine0's downlink to rack 1 drops for 10 us: loss only
+    // compensation (or the RTO) repairs.
+    c.run.with_loss = loss;
     cases.push_back(std::move(c));
   };
 

@@ -670,16 +670,7 @@ TEST(ConfigHashTest, CollectivePointHashSeparatesGroupsDeadlineAndLossWindow) {
     r.cross_rack_groups = 2;
   }));
   EXPECT_TRUE(moves(run, [](CollectiveRun& r) { r.deadline *= 2; }));
-
-  // A zero-length window is no loss; every field of a real one counts.
-  EXPECT_FALSE(moves(run, [](CollectiveRun& r) { r.loss.port = 1; }));
-  EXPECT_TRUE(moves(run, [](CollectiveRun& r) { r.loss.duration = 10 * kMicrosecond; }));
-  CollectiveRun lossy = run;
-  lossy.loss = {.spine = 0, .port = 1, .at = 30 * kMicrosecond, .duration = 10 * kMicrosecond};
-  EXPECT_TRUE(moves(lossy, [](CollectiveRun& r) { r.loss.spine = 1; }));
-  EXPECT_TRUE(moves(lossy, [](CollectiveRun& r) { r.loss.port = 2; }));
-  EXPECT_TRUE(moves(lossy, [](CollectiveRun& r) { r.loss.at += kMicrosecond; }));
-  EXPECT_TRUE(moves(lossy, [](CollectiveRun& r) { r.loss.duration += kMicrosecond; }));
+  EXPECT_TRUE(moves(run, [](CollectiveRun& r) { r.with_loss = true; }));
 }
 
 TEST(ConfigHashTest, FctPointHashSeparatesWorkloadCdfAndDeadline) {
