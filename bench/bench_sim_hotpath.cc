@@ -288,9 +288,7 @@ Fig1Run RunFig1Scale(bool burst_enabled) {
 // The burst A/B: off/on pairs, alternating which side runs first so a drift
 // in host speed favours neither, gated on the median pair ratio.
 struct BurstAblation {
-  Fig1Run on;   // the last on run: per-tier counts and burst shape
-  double best_on = 0.0;   // events/s
-  double best_off = 0.0;  // events/s
+  Fig1Run on;  // the last on run: per-tier counts and burst shape
   double median_speedup = 0.0;  // median over pairs of on/off events/s
   // Of the first pair whose counts differ, else of the last pair.
   uint64_t events_on = 0;
@@ -313,8 +311,6 @@ BurstAblation RunBurstAblation(int pairs) {
       off = RunFig1Scale(/*burst_enabled=*/false);
     }
     speedups.push_back(on.events_per_sec() / off.events_per_sec());
-    ablation.best_on = std::max(ablation.best_on, on.events_per_sec());
-    ablation.best_off = std::max(ablation.best_off, off.events_per_sec());
     if (!diverged) {
       ablation.events_on = on.events;
       ablation.events_off = off.events;
@@ -368,8 +364,6 @@ void MaybeWriteTierCsv(const BurstAblation& burst, const ChurnRates& churn) {
                static_cast<unsigned long long>(burst.on.heap),
                static_cast<unsigned long long>(burst.on.wheel),
                static_cast<unsigned long long>(burst.on.calendar));
-  std::fprintf(f, "fig1_best_events_per_sec,%.0f\n", burst.best_on);
-  std::fprintf(f, "fig1_burst_off_events_per_sec,%.0f\n", burst.best_off);
   std::fprintf(f, "fig1_burst_speedup,%.3f\n", burst.median_speedup);
   std::fprintf(f, "fig1_events_executed_on,%llu\n",
                static_cast<unsigned long long>(burst.events_on));
@@ -404,9 +398,8 @@ int main() {
               "%d burst off/on pairs:\n",
               kFig1Pairs);
   const BurstAblation burst = RunBurstAblation(kFig1Pairs);
-  std::printf("fig1 burst ablation (thread CPU time): best off=%.2f on=%.2f M events/s, "
-              "median pair on/off %.3fx",
-              burst.best_off / 1e6, burst.best_on / 1e6, burst.median_speedup);
+  std::printf("fig1 burst ablation (thread CPU time): median pair on/off %.3fx",
+              burst.median_speedup);
   std::printf(burst.events_on == burst.events_off
                   ? " (identical %llu events executed)\n"
                   : " (EVENT COUNT DIVERGED: off=%llu on=%llu)\n",
