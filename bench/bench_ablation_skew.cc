@@ -17,4 +17,4 @@
 
 #include "bench/grid_bench.h"
 
-int main() { return themis::GridBenchMain("ablation-skew"); }
+int main() { return themis::GridBenchMain({"ablation-skew"}); }

@@ -15,4 +15,4 @@
 
 #include "bench/grid_bench.h"
 
-int main() { return themis::GridBenchMain("ablation-transport"); }
+int main() { return themis::GridBenchMain({"ablation-transport"}); }

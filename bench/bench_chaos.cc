@@ -1,288 +1,23 @@
 // Chaos campaign sweep (src/scenario): recovery time and tail inflation per
 // {scheme x fault class}.
 //
-// Part A (leaf-spine 4x4x4, 100 Gbps): for each scheme in {ECMP,
-// RandomSpray, Themis-S, Themis-D} runs a clean baseline plus four fault
-// campaigns — link flap (the tor-uplink-flap preset), switch reboot, gray
-// failure (the gray-spine preset), asymmetric degrade — and reports each
-// fault's recovery time (first damage -> goodput back above the restore
-// fraction), drops attributed to the outage, victim-flow count, and the p99
-// slowdown inflation over that scheme's own baseline.
+// For each of ECMP, RandomSpray, Themis-S and Themis-D, a clean baseline plus
+// four fault campaigns — link flap (the tor-uplink-flap preset), switch
+// reboot, gray failure (the gray-spine preset), asymmetric degrade — each
+// reporting its recovery time (first damage -> goodput back above the
+// restore fraction), drops attributed to the outage, victim-flow count, and
+// the p99 slowdown inflation over that scheme's own baseline. First on a
+// 4x4x4 leaf-spine at 100 Gbps (the `chaos` grid), then on a k=16 fat-tree
+// (1024 hosts, 400 Gbps) under fluid background load 0.3 (`chaos-k16`): the
+// hybrid engine composes with fault injection, so chaos campaigns run at a
+// scale where full packet-level background would be out of CI reach.
 //
-// Part B (fat-tree k=16, 1024 hosts, 400 Gbps): the same scheme x fault grid
-// under fluid background load 0.3 — the hybrid engine composes with fault
-// injection, so chaos campaigns run at a scale where full packet-level
-// background would be out of CI reach.
-//
-// The bench exits nonzero when a fault cell produces no fault records (the
-// campaign silently failed to fire) or a baseline completes no flows.
-//
-// Env knobs:
-//   THEMIS_CHAOS_SMOKE=1       leaf-spine only, flap + gray cells only (CI)
-//   THEMIS_CHAOS_SKIP_SCALE=1  skip Part B (fat-tree)
-//   THEMIS_CHAOS_CSV=path      write the results table as CSV
-//   THEMIS_SWEEP_THREADS       sweep parallelism (results thread-invariant)
+// The bench exits nonzero when a baseline completes no flows or a fault
+// campaign produces no fault records (it silently failed to fire); stderr
+// names the scheme and the run. The points are the `chaos` and `chaos-k16`
+// grids (src/experiment_service/grids.cc); `sweep_cli --grid=chaos` writes
+// or shards either as CSV.
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
+#include "bench/grid_bench.h"
 
-#include "src/core/sweep_runner.h"
-#include "src/scenario/scenario_script.h"
-#include "src/stats/report.h"
-#include "src/workload/flow_driver.h"
-
-namespace themis {
-namespace {
-
-struct SchemeUnderTest {
-  const char* label;
-  Scheme scheme;
-  SprayMode spray;
-};
-
-constexpr SchemeUnderTest kSchemes[] = {
-    {"ECMP", Scheme::kEcmp, SprayMode::kTorEgress},
-    {"RandomSpray", Scheme::kRandomSpray, SprayMode::kTorEgress},
-    {"Themis-S", Scheme::kThemis, SprayMode::kSportRewrite},
-    {"Themis-D", Scheme::kThemis, SprayMode::kTorEgress},
-};
-
-struct FaultCell {
-  const char* label;
-  std::string script;  // empty = baseline (no scenario)
-};
-
-// Builds a script from text, aborting on a typo — campaign scripts are part
-// of the bench itself.
-ScenarioScript MustParse(const std::string& text) {
-  ScenarioScript script;
-  std::string error;
-  if (!ParseScenario(text, &script, &error)) {
-    std::fprintf(stderr, "bench_chaos: bad scenario script: %s\n", error.c_str());
-    std::exit(1);
-  }
-  return script;
-}
-
-ScenarioScript MustPreset(const std::string& name) {
-  ScenarioScript script;
-  if (!ScenarioPreset(name, &script)) {
-    std::fprintf(stderr, "bench_chaos: unknown preset '%s'\n", name.c_str());
-    std::exit(1);
-  }
-  return script;
-}
-
-// The leaf-spine fault grid. Flap and gray come from the built-in presets
-// (the same campaigns workload_cli --scenario names); reboot and degrade are
-// inline. All fault windows land inside the 1.2 ms arrival window so
-// recovery is measured while traffic still flows.
-std::vector<std::pair<std::string, ScenarioScript>> LeafSpineFaults(bool smoke) {
-  std::vector<std::pair<std::string, ScenarioScript>> faults;
-  faults.emplace_back("flap", MustPreset("tor-uplink-flap"));
-  if (!smoke) {
-    faults.emplace_back("reboot", MustParse("seed 17\nsample-period 20us\n"
-                                            "reboot target=spine1 at=400us down=150us\n"));
-  }
-  faults.emplace_back("gray", MustPreset("gray-spine"));
-  if (!smoke) {
-    faults.emplace_back("degrade",
-                        MustParse("seed 19\nsample-period 20us\n"
-                                  "degrade target=tor0:up1 at=300us duration=500us "
-                                  "factor=0.25\n"));
-  }
-  return faults;
-}
-
-// The fat-tree grid: same four classes, retargeted at fat-tree switch names
-// (pod0-edge0 uplink, a pod aggregation switch, a core switch) and
-// compressed into the 300 us scale-run arrival window.
-std::vector<std::pair<std::string, ScenarioScript>> FatTreeFaults() {
-  std::vector<std::pair<std::string, ScenarioScript>> faults;
-  faults.emplace_back("flap", MustParse("seed 11\nsample-period 10us\n"
-                                        "flap target=pod0-edge0:up0 at=60us down=60us\n"));
-  faults.emplace_back("reboot", MustParse("seed 17\nsample-period 10us\n"
-                                          "reboot target=pod0-agg0 at=60us down=80us\n"));
-  faults.emplace_back("gray", MustParse("seed 13\nsample-period 10us\n"
-                                        "gray target=core0:* at=40us duration=200us "
-                                        "drop=2e-3 corrupt=2e-3\n"));
-  faults.emplace_back("degrade", MustParse("seed 19\nsample-period 10us\n"
-                                           "degrade target=pod0-edge0:up1 at=40us "
-                                           "duration=200us factor=0.25\n"));
-  return faults;
-}
-
-struct CellSpec {
-  std::string topo;
-  SchemeUnderTest scheme;
-  std::string fault;  // "baseline" for the clean run
-  ScenarioScript scenario;
-};
-
-struct CellResult {
-  CellSpec spec;
-  FctWorkloadResult result;
-};
-
-FctWorkloadResult RunCell(const CellSpec& cell, const FlowSizeCdf& cdf) {
-  ExperimentConfig config;
-  config.seed = 42;
-  config.scheme = cell.scheme.scheme;
-  config.themis_spray_mode = cell.scheme.spray;
-  config.scenario = cell.scenario;
-
-  WorkloadSpec workload;
-  workload.pattern = TrafficPattern::kUniform;
-  workload.seed = 42;
-
-  if (cell.topo == "leaf-spine") {
-    config.num_tors = 4;
-    config.num_spines = 4;
-    config.hosts_per_tor = 4;
-    config.link_rate = Rate::Gbps(100);
-    workload.load = 0.5;
-    workload.window = 1200 * kMicrosecond;
-  } else {
-    config.fabric = FabricKind::kFatTree;
-    config.fat_tree_k = 16;  // 1024 hosts, 320 switches
-    config.link_rate = Rate::Gbps(400);
-    config.traffic_model = TrafficModelKind::kFluid;  // hybrid composes
-    config.background_load = 0.3;
-    workload.load = 0.3;
-    workload.window = 300 * kMicrosecond;
-    workload.max_flows = 4'000;  // budget; arrivals still cover the window
-  }
-
-  FctRunOptions options;
-  options.deadline = workload.window * 100;
-  return RunFctWorkloadEx(config, workload, cdf, options);
-}
-
-// Mean recovery time over fault records that completed recovery; -1 when
-// none did.
-double MeanRecoveryUs(const std::vector<FaultRecord>& faults) {
-  double sum = 0.0;
-  int n = 0;
-  for (const FaultRecord& f : faults) {
-    if (f.RecoveryTimePs() >= 0) {
-      sum += ToMicroseconds(f.RecoveryTimePs());
-      ++n;
-    }
-  }
-  return n > 0 ? sum / n : -1.0;
-}
-
-uint64_t SumDrops(const std::vector<FaultRecord>& faults) {
-  uint64_t total = 0;
-  for (const FaultRecord& f : faults) {
-    total += f.drops_during;
-  }
-  return total;
-}
-
-uint64_t SumVictims(const std::vector<FaultRecord>& faults) {
-  uint64_t total = 0;
-  for (const FaultRecord& f : faults) {
-    total += f.victim_flows;
-  }
-  return total;
-}
-
-int RunGrid(const std::string& topo,
-            const std::vector<std::pair<std::string, ScenarioScript>>& faults,
-            const FlowSizeCdf& cdf, Table& table) {
-  // Cells: per scheme, one baseline + one run per fault class.
-  std::vector<CellSpec> cells;
-  for (const SchemeUnderTest& s : kSchemes) {
-    cells.push_back(CellSpec{topo, s, "baseline", ScenarioScript{}});
-    for (const auto& [label, script] : faults) {
-      cells.push_back(CellSpec{topo, s, label, script});
-    }
-  }
-
-  SweepRunner runner;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto outcomes =
-      runner.Map(cells, [&cdf](const CellSpec& cell) { return RunCell(cell, cdf); });
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  // Baseline p99 per scheme, for the inflation column.
-  std::vector<double> baseline_p99(std::size(kSchemes), 0.0);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (cells[i].fault == "baseline") {
-      baseline_p99[i / (faults.size() + 1)] = outcomes[i].slowdown.p99;
-    }
-  }
-
-  int failures = 0;
-  std::printf("=== %s ===\n", topo.c_str());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CellSpec& cell = cells[i];
-    const FctWorkloadResult& r = outcomes[i];
-    const size_t scheme_index = i / (faults.size() + 1);
-    const bool is_baseline = cell.fault == "baseline";
-
-    bool ok = r.flows_completed > 0;
-    if (!is_baseline && r.scenario_faults.empty()) {
-      ok = false;  // the campaign never fired — meaningless cell
-    }
-    const double recovery_us = MeanRecoveryUs(r.scenario_faults);
-    const double p99_ratio = baseline_p99[scheme_index] > 0.0
-                                 ? r.slowdown.p99 / baseline_p99[scheme_index]
-                                 : 0.0;
-    std::printf("  %-12s %-9s p99 %7.2f  x%5.2f vs clean  recovery %8.1f us  "
-                "%4llu drops  %3llu victims  (%zu/%zu flows)%s\n",
-                cell.scheme.label, cell.fault.c_str(), r.slowdown.p99,
-                is_baseline ? 1.0 : p99_ratio, recovery_us,
-                static_cast<unsigned long long>(SumDrops(r.scenario_faults)),
-                static_cast<unsigned long long>(SumVictims(r.scenario_faults)),
-                r.flows_completed, r.flows_total, ok ? "" : "  <-- FAILED");
-    if (!ok) {
-      ++failures;
-    }
-    table.AddRow({topo, cell.scheme.label, cell.fault,
-                  std::to_string(r.scenario_faults.size()),
-                  FormatDouble(recovery_us, 1), FormatDouble(r.slowdown.p99, 3),
-                  FormatDouble(is_baseline ? 1.0 : p99_ratio, 3),
-                  std::to_string(SumDrops(r.scenario_faults)),
-                  std::to_string(SumVictims(r.scenario_faults)),
-                  std::to_string(r.flows_completed)});
-  }
-  std::printf("  wall time %.1f s for %zu cells\n\n", wall_s, cells.size());
-  return failures;
-}
-
-int ChaosMain() {
-  const char* smoke_env = std::getenv("THEMIS_CHAOS_SMOKE");
-  const bool smoke = smoke_env != nullptr && *smoke_env == '1';
-  const FlowSizeCdf& cdf = FlowSizeCdf::WebSearch();
-
-  Table table({"topo", "scheme", "fault", "fault_records", "recovery_us", "p99",
-               "p99_vs_clean", "fault_drops", "victim_flows", "flows_completed"});
-
-  int failures = RunGrid("leaf-spine", LeafSpineFaults(smoke), cdf, table);
-
-  const char* skip = std::getenv("THEMIS_CHAOS_SKIP_SCALE");
-  if (!smoke && (skip == nullptr || *skip != '1')) {
-    failures += RunGrid("fat-tree-k16", FatTreeFaults(), cdf, table);
-  }
-
-  if (const char* csv = std::getenv("THEMIS_CHAOS_CSV"); csv != nullptr && *csv != '\0') {
-    if (table.WriteCsv(csv)) {
-      std::printf("wrote %s\n", csv);
-    } else {
-      std::fprintf(stderr, "could not write %s\n", csv);
-      ++failures;
-    }
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-}  // namespace
-}  // namespace themis
-
-int main() { return themis::ChaosMain(); }
+int main() { return themis::GridBenchMain({"chaos", "chaos-k16"}); }

@@ -118,7 +118,12 @@ bool RunFig1d(TransportKind transport, uint64_t bytes, Table* summary) {
 
 int main() {
   using namespace themis;
-  const uint64_t bytes = SweepMessageBytes(8);
+  uint64_t bytes = 0;
+  std::string error;
+  if (!SweepMessageBytes(8, &bytes, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
   Table summary(SplitCsvHeader(kCollectiveCsvHeader));
   bool ok = RunFig1bc(bytes);
   ok = RunFig1d(TransportKind::kNicSr, bytes, &summary) && ok;

@@ -10,4 +10,4 @@
 
 #include "bench/grid_bench.h"
 
-int main() { return themis::GridBenchMain("fig5-allreduce"); }
+int main() { return themis::GridBenchMain({"fig5-allreduce"}); }

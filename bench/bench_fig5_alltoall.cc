@@ -9,4 +9,4 @@
 
 #include "bench/grid_bench.h"
 
-int main() { return themis::GridBenchMain("fig5-alltoall"); }
+int main() { return themis::GridBenchMain({"fig5-alltoall"}); }

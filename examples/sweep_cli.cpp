@@ -62,7 +62,8 @@ struct CliOptions {
       "  --merge              merge the --shards journals in --dir into --out instead\n"
       "                       of running; fails if any grid point is missing\n"
       "  --single             run the whole grid in-process and write --out — the\n"
-      "                       reference byte stream every merge must equal\n"
+      "                       reference byte stream every merge must equal; exits 1\n"
+      "                       when a point yields no row\n"
       "  --manifest-only      write <dir>/<grid>.manifest and exit\n"
       "  --out=PATH           output CSV for --single/--merge (default <dir>/<grid>.csv)\n"
       "  --counters           after a shard run, print the sweep.* telemetry counters\n");
@@ -141,13 +142,18 @@ int Run(const CliOptions& opts) {
     }
 
     case Mode::kSingle: {
-      if (!RunGridSingleProcess(grid, opts.threads, out_csv, &error)) {
+      const std::vector<std::vector<RowCells>> rows = RunGridRows(grid, opts.threads);
+      if (!WriteGridCsv(grid, rows, out_csv, &error)) {
         std::fprintf(stderr, "sweep_cli: %s\n", error.c_str());
         return 1;
       }
       std::printf("sweep_cli: single-process %s (%zu points) -> %s\n", grid.name.c_str(),
                   grid.cases.size(), out_csv.c_str());
-      return 0;
+      // A point without rows failed (the row it would have written is
+      // missing from the CSV); shard runs journal it instead.
+      const std::string missing = MissingRowReport(grid, rows);
+      std::fputs(missing.c_str(), stderr);
+      return missing.empty() ? 0 : 1;
     }
 
     case Mode::kMerge: {

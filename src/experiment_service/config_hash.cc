@@ -441,6 +441,37 @@ ConfigHasher CollectivePointHasher(const ExperimentConfig& config, const Collect
   return h;
 }
 
+// Appends every field of `s` under `prefix`.
+template <typename S>
+void AppendPrefixed(ConfigHasher& h, const S& s, const std::string& prefix) {
+  for (const ConfigField& f : Describe(s, prefix)) {
+    h.Field(f.name, f.value);
+  }
+}
+
+// What ChaosPointHash digests.
+ConfigHasher ChaosPointHasher(const ExperimentConfig& clean, const WorkloadSpec& workload,
+                              std::string_view cdf_name, TimePs deadline,
+                              const std::vector<ChaosFaultRun>& faults) {
+  ConfigHasher h = FctPointHasher(clean, workload, cdf_name, deadline);
+  for (size_t i = 0; i < faults.size(); ++i) {
+    const std::string prefix = "fault" + std::to_string(i);
+    h.Field(prefix, faults[i].label);
+    AppendPrefixed(h, faults[i].script, prefix + ".");
+  }
+  return h;
+}
+
+// What HybridPointHash digests.
+ConfigHasher HybridPointHasher(const ExperimentConfig& baseline, const WorkloadSpec& foreground,
+                               std::string_view cdf_name, TimePs deadline,
+                               const WorkloadSpec& background, TimePs calibration_period) {
+  ConfigHasher h = FctPointHasher(baseline, foreground, cdf_name, deadline);
+  AppendPrefixed(h, background, "background.");
+  h.Field("calibration.period", calibration_period);
+  return h;
+}
+
 }  // namespace
 
 void ConfigHasher::AppendLine(std::string_view name, std::string_view value) {
@@ -518,6 +549,20 @@ uint64_t FctPointHash(const ExperimentConfig& config, const WorkloadSpec& worklo
 uint64_t CollectivePointHash(const ExperimentConfig& config, const CollectiveRun& run,
                              std::string_view label) {
   return CollectivePointHasher(config, run, label).hash();
+}
+
+uint64_t ChaosPointHash(const ExperimentConfig& clean, const WorkloadSpec& workload,
+                        std::string_view cdf_name, TimePs deadline,
+                        const std::vector<ChaosFaultRun>& faults) {
+  return ChaosPointHasher(clean, workload, cdf_name, deadline, faults).hash();
+}
+
+uint64_t HybridPointHash(const ExperimentConfig& baseline, const WorkloadSpec& foreground,
+                         std::string_view cdf_name, TimePs deadline,
+                         const WorkloadSpec& background, TimePs calibration_period) {
+  return HybridPointHasher(baseline, foreground, cdf_name, deadline, background,
+                           calibration_period)
+      .hash();
 }
 
 std::vector<ConfigHashGoldenCase> ConfigHashGoldenCases() {
@@ -610,6 +655,42 @@ std::vector<ConfigHashGoldenCase> ConfigHashGoldenCases() {
     run.deadline = 120 * kSecond;
     run.with_loss = true;
     add("ring-loss-point", CollectivePointHasher(c, run, "Compensation/on/loss"));
+  }
+  {
+    // The first chaos point: ECMP on the 4x4x4 leaf-spine, clean and under
+    // the flap, reboot, gray and degrade campaigns.
+    ExperimentConfig c;
+    c.seed = 42;
+    c.num_tors = 4;
+    c.num_spines = 4;
+    c.hosts_per_tor = 4;
+    c.link_rate = Rate::Gbps(100);
+    c.scheme = Scheme::kEcmp;
+    const WorkloadSpec w{.load = 0.5, .window = 1200 * kMicrosecond, .seed = 42};
+    std::vector<ChaosFaultRun> faults = {{"flap", {}}, {"reboot", {}}, {"gray", {}},
+                                         {"degrade", {}}};
+    ScenarioPreset("tor-uplink-flap", &faults[0].script);
+    ParseScenario("seed 17\nsample-period 20us\nreboot target=spine1 at=400us down=150us\n",
+                  &faults[1].script, nullptr);
+    ScenarioPreset("gray-spine", &faults[2].script);
+    ParseScenario("seed 19\nsample-period 20us\n"
+                  "degrade target=tor0:up1 at=300us duration=500us factor=0.25\n",
+                  &faults[3].script, nullptr);
+    add("chaos-point", ChaosPointHasher(c, w, "websearch", w.window * 100, faults));
+  }
+  {
+    // The first hybrid point: RandomSpray on the 2x2x2 validation fabric,
+    // background load 0.2 (seed 99), calibration every 5 us.
+    ExperimentConfig c;
+    c.seed = 42;
+    c.num_tors = 2;
+    c.num_spines = 2;
+    c.hosts_per_tor = 2;
+    c.link_rate = Rate::Gbps(100);
+    c.scheme = Scheme::kRandomSpray;
+    const WorkloadSpec fg{.load = 0.3, .window = 200 * kMicrosecond, .seed = 1};
+    const WorkloadSpec bg{.load = 0.2, .window = 200 * kMicrosecond, .seed = 99};
+    add("hybrid-point", HybridPointHasher(c, fg, "small", fg.window * 100, bg, 5 * kMicrosecond));
   }
   {
     // Every enum token the canonical text can print: one config per

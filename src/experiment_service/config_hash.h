@@ -128,6 +128,26 @@ struct CollectiveRun {
 uint64_t CollectivePointHash(const ExperimentConfig& config, const CollectiveRun& run,
                              std::string_view label);
 
+// One fault run of a chaos grid point: the point's clean run plus `script`.
+struct ChaosFaultRun {
+  std::string label;  // the row's fault cell
+  ScenarioScript script;
+};
+
+// Hash of a chaos grid point: its clean run's FctPointHash text, then each
+// fault run's label ("fault<i>=") and script fields ("fault<i>.").
+uint64_t ChaosPointHash(const ExperimentConfig& clean, const WorkloadSpec& workload,
+                        std::string_view cdf_name, TimePs deadline,
+                        const std::vector<ChaosFaultRun>& faults);
+
+// Hash of a hybrid validation point: its baseline run's FctPointHash text,
+// then the background workload ("background."; the full run sends it as
+// packets, the calibration run alone, the fluid run models its load) and the
+// calibration period, the cadence of the trace the trace run replays.
+uint64_t HybridPointHash(const ExperimentConfig& baseline, const WorkloadSpec& foreground,
+                         std::string_view cdf_name, TimePs deadline,
+                         const WorkloadSpec& background, TimePs calibration_period);
+
 // The representative set pinned by the config-hash golden table. Labels are
 // stable identifiers; the configs exercise every serialization branch
 // (fat-tree, fluid background, bounded flow table, scenario events, workload

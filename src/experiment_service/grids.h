@@ -3,9 +3,10 @@
 // A GridDef is the executable side of a SweepManifest: the same ordered
 // point list plus, per point, a closure producing that point's CSV rows.
 // Every sweep campaign — the FCT workload sweep (bench_fct_workload), the
-// Fig. 5 collective sweeps (bench_fig5_*) and the Fig. 1-fabric ablations
-// (bench_ablation_*) — is defined HERE and consumed by three clients that
-// must agree byte-for-byte:
+// Fig. 5 collective sweeps (bench_fig5_*), the Fig. 1-fabric ablations
+// (bench_ablation_*), the chaos campaigns (bench_chaos) and the hybrid
+// fidelity check (bench_hybrid_fidelity) — is defined HERE and consumed by
+// three clients that must agree byte-for-byte:
 //
 //   * the bench binaries (pretty-printed tables and analyses),
 //   * sweep_cli (shard launcher / merger for multi-machine campaigns),
@@ -60,14 +61,16 @@ std::vector<std::string> CsvRows(const GridCase& c);
 // then hardware concurrency) and returns each case's rows, in case order.
 std::vector<std::vector<RowCells>> RunGridRows(const GridDef& grid, int threads);
 
-// Writes header + `rows` in case order — the byte stream every sharded merge
-// of the same grid must reproduce.
+// Writes header + `rows` in case order — the single-process reference, the
+// byte stream every sharded merge of the same grid must reproduce.
 bool WriteGridCsv(const GridDef& grid, const std::vector<std::vector<RowCells>>& rows,
                   const std::string& out_csv, std::string* error);
 
-// Single-process reference: RunGridRows, then WriteGridCsv.
-bool RunGridSingleProcess(const GridDef& grid, int threads, const std::string& out_csv,
-                          std::string* error);
+// One "<grid>: point <index> (<name>) yielded no row" line per case without
+// rows (a failed point); empty when every case yielded one. A single-process
+// run (GridBenchMain, sweep_cli --single) prints it to stderr and fails when
+// it is not empty; shard runs journal such a point like any other.
+std::string MissingRowReport(const GridDef& grid, const std::vector<std::vector<RowCells>>& rows);
 
 // --- FCT workload grid (bench_fct_workload) ---------------------------------
 
@@ -75,8 +78,8 @@ struct FctSchemeSpec {
   const char* label;
   Scheme scheme;
   SprayMode spray;
-  bool pfc;
-  bool grace;
+  bool pfc = true;
+  bool grace = true;
   // > 0: attach the fluid background model at this offered load (the hybrid
   // ablation rows).
   double background_load = 0.0;
@@ -90,8 +93,9 @@ struct FctCaseSpec {
   bool smoke;
 };
 
-// The bench's comparison set (see bench_fct_workload.cc for the rationale
-// behind the noGrace / noPFC / hybridBg ablation rows).
+// The bench's comparison set: ECMP, RandomSpray, Themis-S and Themis-D (the
+// schemes the chaos and hybrid grids compare too), then the noGrace / noPFC /
+// hybridBg ablation rows (see bench_fct_workload.cc for their rationale).
 const std::vector<FctSchemeSpec>& FctSchemes();
 
 // The full case list: cdfs x loads x schemes, in sweep (and CSV) order.
@@ -109,6 +113,20 @@ extern const char kFctCsvHeader[];
 
 // Grid names "fct" / "fct-smoke".
 GridDef FctGridDef(bool smoke);
+
+// bench_fct_workload's two analyses of one sweep (`results[i]` is
+// `cases[i]`'s), as the lines it prints under each heading.
+struct FctAnalysisLines {
+  // Per (cdf, load) whose RandomSpray p99 is positive, one line per Themis
+  // case there: its p99 slowdown over RandomSpray's (<1.0 = better).
+  std::vector<std::string> p99_vs_spray;
+  // One line per Themis-D (ToR-egress) case: the NACKs its Eq. 3 filter
+  // forwarded as valid whose original arrived later, beside the genuine ones
+  // and the grace-window tallies.
+  std::vector<std::string> spurious;
+};
+FctAnalysisLines FctAnalyses(const std::vector<FctCaseSpec>& cases,
+                             const std::vector<FctWorkloadResult>& results);
 
 // --- Collective grids (bench_fig5_*, bench_ablation_*) ----------------------
 //
@@ -132,14 +150,20 @@ GridDef CollectiveGrid(const std::string& name, uint64_t bytes);
 
 // --- Registry + launcher plumbing -------------------------------------------
 
-// Builtin grids by name: "fct", "fct-smoke" and the collective grids at
-// SweepMessageBytes(8). Returns an empty grid (and `error`) for unknown names.
+// Builtin grids by name: "fct" and "fct-smoke"; the collective grids at
+// SweepMessageBytes(8); "chaos" and "chaos-k16" (a point is one scheme on one
+// fabric: its clean run and four fault campaigns, 5 rows); "hybrid" (two
+// validation points of 4 rows, one per background load, then one 1024-host
+// point per scheme). Returns an empty grid (and `error`) for an unknown name
+// or a collective grid under a malformed size variable.
 GridDef MakeBuiltinGrid(const std::string& name, std::string* error);
 std::vector<std::string> BuiltinGridNames();
 
-// Collective message sizing, the only reader of THEMIS_FULL_SCALE=1 (the
-// paper's 300 MB) and THEMIS_BENCH_MB=<n> (n MiB); else `default_mib`.
-uint64_t SweepMessageBytes(uint64_t default_mib);
+// Collective message sizing, the only reader of THEMIS_FULL_SCALE (1: the
+// paper's 300 MB; 0 or unset: off) and THEMIS_BENCH_MB (n MiB, 1 <= n <
+// 2^44); else `default_mib`. Any other value of either is an error that
+// names the variable.
+bool SweepMessageBytes(uint64_t default_mib, uint64_t* bytes, std::string* error);
 
 }  // namespace themis
 

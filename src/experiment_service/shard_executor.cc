@@ -166,6 +166,10 @@ bool ShardExecutor::Run(const PointFn& fn, std::string* error) {
           csv << row << "\n";
         }
       }
+      csv.flush();
+      if (!csv && first_error.empty()) {
+        first_error = "write to " + CsvPath() + " failed";
+      }
     }
   }
 

@@ -2,27 +2,31 @@
 // (src/experiment_service): manifest round-trip and slicing, shard
 // invariance (merged output byte-identical to a single-process run for any
 // shard count and completion order), resume (only journal-missing points
-// re-execute), merge failure modes, journal framing, telemetry counters, and
-// the config-hash golden table.
+// re-execute), merge failure modes, journal framing, telemetry counters, the
+// builtin grids' inputs and analyses, and the config-hash golden table.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/core/sweep_runner.h"
 #include "src/experiment_service/config_hash.h"
 #include "src/experiment_service/grids.h"
 #include "src/experiment_service/journal.h"
 #include "src/experiment_service/manifest.h"
 #include "src/experiment_service/merge.h"
 #include "src/experiment_service/shard_executor.h"
+#include "src/stats/report.h"
 #include "src/telemetry/counters.h"
 
 namespace themis {
@@ -177,7 +181,7 @@ TEST(ShardInvarianceTest, MergedCsvByteIdenticalForAnyShardCountAndOrder) {
 
   std::string error;
   const std::string ref_csv = dir + "/reference.csv";
-  ASSERT_TRUE(RunGridSingleProcess(grid, /*threads=*/1, ref_csv, &error)) << error;
+  ASSERT_TRUE(WriteGridCsv(grid, RunGridRows(grid, /*threads=*/1), ref_csv, &error)) << error;
   const std::string reference = ReadFile(ref_csv);
   ASSERT_FALSE(reference.empty());
 
@@ -201,9 +205,31 @@ TEST(ShardInvarianceTest, SingleProcessOutputIdenticalAcrossThreadCounts) {
   const std::string dir = ScratchDir("thread_invariance");
   const GridDef grid = SyntheticGrid();
   std::string error;
-  ASSERT_TRUE(RunGridSingleProcess(grid, 1, dir + "/t1.csv", &error)) << error;
-  ASSERT_TRUE(RunGridSingleProcess(grid, 5, dir + "/t5.csv", &error)) << error;
+  ASSERT_TRUE(WriteGridCsv(grid, RunGridRows(grid, 1), dir + "/t1.csv", &error)) << error;
+  ASSERT_TRUE(WriteGridCsv(grid, RunGridRows(grid, 5), dir + "/t5.csv", &error)) << error;
   EXPECT_EQ(ReadFile(dir + "/t1.csv"), ReadFile(dir + "/t5.csv"));
+}
+
+// The check a single-process sweep fails on: every synthetic point that
+// yields no row (index % 5 == 4), and only those, is named.
+TEST(GridContractTest, MissingRowReportNamesEveryPointWithoutRows) {
+  const GridDef grid = SyntheticGrid();
+  const std::string report = MissingRowReport(grid, RunGridRows(grid, /*threads=*/2));
+  std::vector<std::string> lines;
+  std::istringstream in(report);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 4u) << report;
+  const int empty_points[] = {4, 9, 14, 19};
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string index = std::to_string(empty_points[i]);
+    EXPECT_EQ(lines[i], "synthetic: point " + index + " (synthetic point " + index +
+                            ") yielded no row");
+  }
+  EXPECT_EQ(MissingRowReport(grid, std::vector<std::vector<RowCells>>(
+                                       kSyntheticPoints, std::vector<RowCells>(1))),
+            "");
 }
 
 // The acceptance gate: the real FCT smoke grid and a collective grid (the
@@ -221,7 +247,7 @@ TEST(ShardInvarianceTest, FctSmokeGridMergesByteIdentical) {
 
     std::string error;
     const std::string ref_csv = dir + "/reference.csv";
-    ASSERT_TRUE(RunGridSingleProcess(grid, /*threads=*/0, ref_csv, &error)) << error;
+    ASSERT_TRUE(WriteGridCsv(grid, RunGridRows(grid, /*threads=*/0), ref_csv, &error)) << error;
     const std::string reference = ReadFile(ref_csv);
     ASSERT_GT(reference.size(), grid.csv_header.size() + 1);
 
@@ -260,6 +286,121 @@ TEST(CollectiveGridTest, LossWindowDropsPacketsOnlyInWithLossPoints) {
   EXPECT_EQ(lossless[6], "0");  // drops
   EXPECT_EQ(lossy[0], "with-loss");
   EXPECT_NE(lossy[6], "0");
+}
+
+// Sets an environment variable (unsets it for null) until the end of the
+// scope, then restores what was there.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      saved_ = old;
+    }
+    Set(value);
+  }
+  ~ScopedEnv() { Set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  void Set(const char* value) {
+    if (value != nullptr) {
+      setenv(name_, value, 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+// The collective grids read their message size from THEMIS_BENCH_MB (MiB in
+// [1, 2^44)) and THEMIS_FULL_SCALE (0 or 1); any other value yields no grid
+// and an error that names the variable, before a point could run.
+TEST(BuiltinGridTest, MessageSizeVariablesParseStrictly) {
+  const auto build = [](const char* bench_mb, const char* full_scale, std::string* error) {
+    ScopedEnv mb("THEMIS_BENCH_MB", bench_mb);
+    ScopedEnv full("THEMIS_FULL_SCALE", full_scale);
+    error->clear();
+    return MakeBuiltinGrid("fig5-allreduce", error);
+  };
+  std::string error;
+  for (const char* bad : {"abc", "", "0", "-1", "8x", " 8", "17592186044416",
+                          "18446744073709551616"}) {
+    EXPECT_TRUE(build(bad, nullptr, &error).cases.empty()) << "THEMIS_BENCH_MB=" << bad;
+    EXPECT_NE(error.find("THEMIS_BENCH_MB"), std::string::npos) << error;
+  }
+  for (const char* bad : {"true", "2", "", "-0x1"}) {
+    EXPECT_TRUE(build(nullptr, bad, &error).cases.empty()) << "THEMIS_FULL_SCALE=" << bad;
+    EXPECT_NE(error.find("THEMIS_FULL_SCALE"), std::string::npos) << error;
+  }
+
+  // The title states the size each collective moves.
+  const auto size_of = [&build, &error](const char* bench_mb, const char* full_scale) {
+    const GridDef grid = build(bench_mb, full_scale, &error);
+    EXPECT_EQ(grid.cases.size(), 15u) << error;
+    const size_t open = grid.title.find('(');
+    return grid.title.substr(open + 1, grid.title.find(" MiB") - open - 1);
+  };
+  EXPECT_EQ(size_of(nullptr, nullptr), "8");
+  EXPECT_EQ(size_of("1", "0"), "1");
+  EXPECT_EQ(size_of("17592186044415", nullptr), "17592186044415");
+  EXPECT_EQ(size_of("2", "1"), "300");
+}
+
+// The grids beyond the paper: chaos campaigns (one scheme on one fabric per
+// point) and the hybrid check (two validation loads, then one fat-tree point
+// per scheme), over the same four schemes the FCT sweep compares first.
+TEST(BuiltinGridTest, ChaosAndHybridPointsSpanTheComparedSchemes) {
+  std::string error;
+  const GridDef chaos = MakeBuiltinGrid("chaos", &error);
+  const GridDef chaos_k16 = MakeBuiltinGrid("chaos-k16", &error);
+  const GridDef hybrid = MakeBuiltinGrid("hybrid", &error);
+  ASSERT_EQ(chaos.cases.size(), 4u);
+  ASSERT_EQ(chaos_k16.cases.size(), 4u);
+  ASSERT_EQ(hybrid.cases.size(), 6u);
+  EXPECT_EQ(hybrid.cases[0].point.name, "Hybrid/validate-2x2x2/bg=0.2");
+  EXPECT_EQ(hybrid.cases[1].point.name, "Hybrid/validate-2x2x2/bg=0.4");
+  for (size_t i = 0; i < 4; ++i) {
+    const std::string scheme = FctSchemes()[i].label;
+    EXPECT_EQ(chaos.cases[i].point.name, "Chaos/leaf-spine/" + scheme);
+    EXPECT_EQ(chaos_k16.cases[i].point.name, "Chaos/fat-tree-k16/" + scheme);
+    EXPECT_EQ(hybrid.cases[2 + i].point.name, "Hybrid/fat-tree-k16/" + scheme);
+  }
+  EXPECT_EQ(chaos.csv_header,
+            "topo,scheme,fault,fault_records,recovery_us,p99,p99_vs_clean,fault_drops,"
+            "victim_flows,flows_completed");
+  EXPECT_EQ(hybrid.csv_header, "config,variant,bg_load,flows,p50,p99,ks_vs_full,p50_ratio,"
+                               "p99_ratio");
+}
+
+// --- FCT analyses ---------------------------------------------------------------
+
+// bench_fct_workload's analyses over the 16 fct-smoke cases: a p99 ratio line
+// per Themis case (5 per load) and a spurious-NACK line per Themis-D
+// ToR-egress case (4 per load).
+TEST(FctAnalysesTest, SmokeCasesGiveOneLinePerThemisCase) {
+  const std::vector<FctCaseSpec> cases = FctGridCases(/*smoke=*/true);
+  ASSERT_EQ(cases.size(), 16u);
+  const std::vector<FctWorkloadResult> results = SweepRunner().Map(cases, RunFctGridCase);
+  const FctAnalysisLines lines = FctAnalyses(cases, results);
+  EXPECT_EQ(lines.p99_vs_spray.size(), 10u);
+  EXPECT_EQ(lines.spurious.size(), 8u);
+
+  // The first ratio is Themis-S (case 2) over RandomSpray (case 1) at load 0.3.
+  ASSERT_FALSE(lines.p99_vs_spray.empty());
+  ASSERT_EQ(cases[1].scheme.scheme, Scheme::kRandomSpray);
+  ASSERT_EQ(std::string(cases[2].scheme.label), "Themis-S");
+  const std::string& first = lines.p99_vs_spray[0];
+  EXPECT_NE(first.find("load=0.3 Themis-S"), std::string::npos) << first;
+  const std::string ratio =
+      FormatDouble(results[2].slowdown.p99 / results[1].slowdown.p99, 3);
+  EXPECT_EQ(first.substr(first.size() - ratio.size()), ratio) << first;
+  for (const std::string& line : lines.spurious) {
+    EXPECT_NE(line.find("Themis-D"), std::string::npos) << line;
+    EXPECT_NE(line.find(" spurious / "), std::string::npos) << line;
+  }
 }
 
 // --- Resume (satellite 2) -----------------------------------------------------
@@ -320,7 +461,7 @@ TEST(ResumeTest, TruncatedJournalRecomputesOnlyMissingPoints) {
 
   // And the merge is exactly what an uninterrupted run produces.
   const std::string ref_csv = dir + "/reference.csv";
-  ASSERT_TRUE(RunGridSingleProcess(grid, 1, ref_csv, &error)) << error;
+  ASSERT_TRUE(WriteGridCsv(grid, RunGridRows(grid, 1), ref_csv, &error)) << error;
   const std::string merged_csv = dir + "/merged.csv";
   ASSERT_TRUE(MergeShardDir(manifest, dir, 1, merged_csv, &error)) << error;
   EXPECT_EQ(ReadFile(merged_csv), ReadFile(ref_csv));
@@ -448,6 +589,26 @@ TEST(ShardExecutorTest, RejectsOutOfRangeShardIndex) {
   EXPECT_FALSE(executor.Run([](const ManifestPoint&) { return std::vector<std::string>{}; },
                             &error));
   EXPECT_FALSE(error.empty());
+}
+
+// A shard CSV that cannot be written fails the shard and names the file.
+TEST(ShardExecutorTest, ShardCsvWriteFailureFailsTheShard) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this platform";
+  }
+  const std::string dir = ScratchDir("shard_csv_full");
+  const GridDef grid = SyntheticGrid();
+  const SweepManifest manifest = GridManifest(grid);
+  const std::string csv = ShardCsvPath(dir, manifest.grid, 0, 1);
+  std::filesystem::create_symlink("/dev/full", csv);
+
+  ShardOptions options;
+  options.dir = dir;
+  std::string error;
+  ShardExecutor executor(manifest, options);
+  EXPECT_FALSE(executor.Run(
+      [&grid](const ManifestPoint& p) { return CsvRows(grid.cases[p.index]); }, &error));
+  EXPECT_NE(error.find(csv), std::string::npos) << error;
 }
 
 // --- Merge failure modes ------------------------------------------------------
@@ -612,6 +773,8 @@ const ConfigHashGolden kConfigHashGoldens[] = {
     {"fct-point", 0x0DC3738C83F3E6EDULL},
     {"fig5-point", 0xD3019BF11F47DF00ULL},
     {"ring-loss-point", 0x7ECB72CC7A6493F0ULL},
+    {"chaos-point", 0xEA3EB427784F7DA3ULL},
+    {"hybrid-point", 0xFA59EA7FF569B2F3ULL},
     {"enum-tokens", 0x6BC34F45255E595FULL},
 };
 // CONFIG-HASH-GOLDEN-END
@@ -627,23 +790,80 @@ TEST(ConfigHashTest, GoldenTablePinsCanonicalSerialization) {
   }
 }
 
+// The hash ConfigHashGoldenCases() gives the case `label`.
+uint64_t GoldenHash(const std::string& label) {
+  for (const ConfigHashGoldenCase& c : ConfigHashGoldenCases()) {
+    if (c.label == label) {
+      return c.hash;
+    }
+  }
+  ADD_FAILURE() << "no golden case " << label;
+  return 0;
+}
+
 // The fig5-point and ring-loss-point goldens are hashes the builtin grids
 // give real points at 8 MiB: a Fig. 5 journal keeps resuming across
 // refactors, and the ablations' loss window and label stay pinned.
 TEST(ConfigHashTest, CollectiveGoldensAreBuiltinGridPoints) {
-  const std::vector<ConfigHashGoldenCase> cases = ConfigHashGoldenCases();
-  const auto golden = [&cases](const std::string& label) {
-    const auto it = std::find_if(cases.begin(), cases.end(),
-                                 [&label](const ConfigHashGoldenCase& c) { return c.label == label; });
-    EXPECT_NE(it, cases.end()) << label;
-    return it == cases.end() ? 0 : it->hash;
-  };
   const GridDef fig5 = CollectiveGrid("fig5-allreduce", 8ull << 20);
   EXPECT_EQ(fig5.cases[0].point.name, "Fig5a-Allreduce/ECMP/TI=900us/TD=4us");
-  EXPECT_EQ(golden("fig5-point"), fig5.cases[0].point.config_hash);
+  EXPECT_EQ(GoldenHash("fig5-point"), fig5.cases[0].point.config_hash);
   const GridDef ablation = CollectiveGrid("ablation-themis", 8ull << 20);
   EXPECT_EQ(ablation.cases[2].point.name, "Compensation/on/loss");
-  EXPECT_EQ(golden("ring-loss-point"), ablation.cases[2].point.config_hash);
+  EXPECT_EQ(GoldenHash("ring-loss-point"), ablation.cases[2].point.config_hash);
+}
+
+// Likewise the chaos-point and hybrid-point goldens pin the first point of
+// `chaos` and of `hybrid`, so those grids' journals keep resuming.
+TEST(ConfigHashTest, ChaosAndHybridGoldensAreBuiltinGridPoints) {
+  std::string error;
+  const GridDef chaos = MakeBuiltinGrid("chaos", &error);
+  ASSERT_FALSE(chaos.cases.empty()) << error;
+  EXPECT_EQ(chaos.cases[0].point.name, "Chaos/leaf-spine/ECMP");
+  EXPECT_EQ(GoldenHash("chaos-point"), chaos.cases[0].point.config_hash);
+  const GridDef hybrid = MakeBuiltinGrid("hybrid", &error);
+  ASSERT_FALSE(hybrid.cases.empty()) << error;
+  EXPECT_EQ(hybrid.cases[0].point.name, "Hybrid/validate-2x2x2/bg=0.2");
+  EXPECT_EQ(GoldenHash("hybrid-point"), hybrid.cases[0].point.config_hash);
+}
+
+// A chaos point's hash covers every fault run's script; a hybrid point's the
+// background workload and the calibration period.
+TEST(ConfigHashTest, ChaosAndHybridPointHashesCoverEveryRun) {
+  const ExperimentConfig config;
+  const WorkloadSpec workload;
+  std::vector<ChaosFaultRun> faults(2);
+  faults[0].label = "flap";
+  ASSERT_TRUE(ScenarioPreset("tor-uplink-flap", &faults[0].script));
+  faults[1].label = "gray";
+  ASSERT_TRUE(ScenarioPreset("gray-spine", &faults[1].script));
+  const uint64_t chaos = ChaosPointHash(config, workload, "websearch", kSecond, faults);
+  EXPECT_EQ(ChaosPointHash(config, workload, "websearch", kSecond, faults), chaos);
+  std::vector<ChaosFaultRun> edited = faults;
+  edited[1].script.events[0].at += kMicrosecond;
+  EXPECT_NE(ChaosPointHash(config, workload, "websearch", kSecond, edited), chaos);
+  edited = faults;
+  edited[0].label = "reboot";
+  EXPECT_NE(ChaosPointHash(config, workload, "websearch", kSecond, edited), chaos);
+  edited.pop_back();
+  EXPECT_NE(ChaosPointHash(config, workload, "websearch", kSecond, edited), chaos);
+
+  WorkloadSpec background = workload;
+  background.seed = 99;
+  const uint64_t hybrid =
+      HybridPointHash(config, workload, "small", kSecond, background, 5 * kMicrosecond);
+  EXPECT_EQ(HybridPointHash(config, workload, "small", kSecond, background, 5 * kMicrosecond),
+            hybrid);
+  WorkloadSpec heavier = background;
+  heavier.load += 0.2;
+  EXPECT_NE(HybridPointHash(config, workload, "small", kSecond, heavier, 5 * kMicrosecond),
+            hybrid);
+  WorkloadSpec reseeded = background;
+  reseeded.seed = 100;
+  EXPECT_NE(HybridPointHash(config, workload, "small", kSecond, reseeded, 5 * kMicrosecond),
+            hybrid);
+  EXPECT_NE(HybridPointHash(config, workload, "small", kSecond, background, 10 * kMicrosecond),
+            hybrid);
 }
 
 TEST(ConfigHashTest, CollectivePointHashSeparatesGroupsDeadlineAndLossWindow) {
