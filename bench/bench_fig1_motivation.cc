@@ -26,7 +26,7 @@
 #include "src/core/experiment.h"
 #include "src/experiment_service/grids.h"
 #include "src/stats/report.h"
-#include "src/stats/samplers.h"
+#include "src/telemetry/sampler.h"
 
 namespace themis {
 namespace {
@@ -55,35 +55,44 @@ bool RunFig1bc(uint64_t bytes) {
   // The observed flow: ring-group 0's first hop (host 0 -> host 4),
   // mirroring the paper's "flow from node 0 to 2".
   SenderQp* observed = exp.connections().GetChannel(0, 4).tx;
+  CounterRegistry counters;
+  counters.RegisterCounter("data_bytes_sent", &observed->stats().data_bytes_sent);
+  counters.RegisterCounter("rtx_bytes", &observed->stats().rtx_bytes);
   const TimePs sample_period = 20 * kMicrosecond;
-  RateSampler rate_sampler(&exp.sim(), sample_period,
-                           [observed] { return observed->stats().data_bytes_sent; });
-  RateSampler rtx_sampler(&exp.sim(), sample_period,
-                          [observed] { return observed->stats().rtx_bytes; });
+  CounterSampler sampler(&exp.sim(), &counters);
+  sampler.SampleNow();
+  sampler.Start(sample_period);
 
   auto result = exp.RunCollective(CollectiveKind::kNeighborRing, kFig1Rings, bytes, 60 * kSecond);
-  rate_sampler.Stop();
-  rtx_sampler.Stop();
+  sampler.Stop();
   if (!result.all_done) {
     std::printf("Fig1bc: ring traffic did not finish\n");
     return false;
   }
 
-  // Fig. 1b/1c tables: windowed retransmission ratio and sending rate.
+  // Fig. 1b/1c tables: windowed retransmission ratio and sending rate, each
+  // from the byte counts' increase over one sample period.
+  const auto& rows = sampler.rows();
+  auto gbps = [&rows, sample_period](size_t k, size_t column) {
+    return (rows[k][column] - rows[k - 1][column]) * 8.0 / ToSeconds(sample_period) / 1e9;
+  };
   Table series({"t_us", "rate_gbps", "rtx_ratio"});
-  const auto& rate = rate_sampler.series().samples();
-  const auto& rtx = rtx_sampler.series().samples();
-  const size_t n = std::min(rate.size(), rtx.size());
+  const size_t n = rows.size() - 1;
   const size_t stride = std::max<size_t>(1, n / 16);  // print ~16 rows
   for (size_t i = 0; i < n; i += stride) {
-    const double ratio = rate[i].value <= 0.0 ? 0.0 : rtx[i].value / rate[i].value;
-    series.AddRow({FormatDouble(ToMicroseconds(rate[i].time), 0),
-                   FormatDouble(rate[i].value, 1), FormatDouble(ratio, 3)});
+    const double rate = gbps(i + 1, 0);
+    const double ratio = rate <= 0.0 ? 0.0 : gbps(i + 1, 1) / rate;
+    series.AddRow({FormatDouble(ToMicroseconds(sampler.sample_times()[i + 1]), 0),
+                   FormatDouble(rate, 1), FormatDouble(ratio, 3)});
+  }
+  double rate_sum = 0.0;
+  for (size_t k = 1; k <= n; ++k) {
+    rate_sum += gbps(k, 0);
   }
   std::printf("\n=== Fig 1b/1c: flow 0->4 under random spraying + NIC-SR ===\n");
   series.Print();
   std::printf("average sending rate: %.1f Gbps (line rate 100, paper: ~86)\n",
-              rate_sampler.series().Mean());
+              n == 0 ? 0.0 : rate_sum / static_cast<double>(n));
   std::printf("average retransmission ratio (all flows): %.3f (paper: ~0.16)\n",
               exp.AggregateRetransmissionRatio());
   std::printf("actual packet loss: %llu drops (paper: zero loss)\n\n",

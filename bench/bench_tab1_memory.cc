@@ -87,7 +87,7 @@ void PrintAnalyticVsMeasured() {
     ThemisDConfig config;
     config.queue_capacity = r.queue_entries;
     config.flow_table = DeriveFlowTableConfig(params, EvictionPolicy::kLruClock);
-    ThemisD hook(config, nullptr);
+    ThemisD hook(config);
     const uint64_t measured = hook.FlowTableModelBytes();
 
     table.AddRow({std::to_string(params.nics_per_tor), std::to_string(params.qps_per_nic),

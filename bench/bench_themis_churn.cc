@@ -100,7 +100,7 @@ ChurnResult RunChurn(const ChurnParams& params, const MemoryModelParams& model,
   // counter registration bounded (no registry attached here, but the
   // tally map still grows without it).
   config.telemetry_flow_cap = 128;
-  ThemisD hook(config, nullptr);
+  ThemisD hook(config);
   dst_tor->AddHook(&hook);
 
   ChurnResult result;

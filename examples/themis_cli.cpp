@@ -21,7 +21,7 @@
 #include "examples/config_flags.h"
 #include "src/core/experiment.h"
 #include "src/stats/report.h"
-#include "src/stats/time_series.h"
+#include "src/stats/summary.h"
 #include "src/telemetry/telemetry.h"
 
 namespace {

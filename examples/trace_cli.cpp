@@ -103,13 +103,8 @@ CliRun Parse(int argc, char** argv) {
 int main(int argc, char** argv) {
   const CliRun run = Parse(argc, argv);
 
-  if (!kTraceCompiledIn) {
-    std::fprintf(stderr,
-                 "trace_cli: built with THEMIS_TRACE=OFF; the trace will be "
-                 "empty (counters still work)\n");
-  }
-
-  FctTelemetryOptions telemetry;
+  FctRunOptions options;
+  FctTelemetryOptions& telemetry = options.telemetry;
   telemetry.enabled = true;
   telemetry.config.category_mask = run.category_mask;
   telemetry.config.sample_period = 5 * kMicrosecond;
@@ -117,8 +112,7 @@ int main(int argc, char** argv) {
   telemetry.counters_path = run.out_prefix + ".counters.csv";
 
   const FctWorkloadResult result =
-      RunFctWorkload(run.config, run.workload, FlowSizeCdf::WebSearch(), kTimeInfinity,
-                     telemetry);
+      RunFctWorkload(run.config, run.workload, FlowSizeCdf::WebSearch(), options);
 
   std::printf("flows: %zu/%zu completed, makespan %.3f ms, p99 slowdown %.2f\n",
               result.flows_completed, result.flows_total, ToMilliseconds(result.makespan),

@@ -8,7 +8,7 @@
 #include "src/collective/training_job.h"
 #include "src/core/experiment.h"
 #include "src/stats/report.h"
-#include "src/stats/time_series.h"
+#include "src/stats/summary.h"
 
 int main() {
   using namespace themis;

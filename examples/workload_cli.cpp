@@ -130,12 +130,13 @@ int main(int argc, char** argv) {
   FlowSizeCdf file_cdf;
   const FlowSizeCdf* cdf = ResolveCdf(run.cdf, &file_cdf);
 
-  const TimePs deadline = workload.window * 40;
-  FctTelemetryOptions telemetry;
+  FctRunOptions options;
+  options.deadline = workload.window * 40;
+  FctTelemetryOptions& telemetry = options.telemetry;
   telemetry.enabled = !run.trace_path.empty() || !run.counters_path.empty();
   telemetry.trace_path = run.trace_path;
   telemetry.counters_path = run.counters_path;
-  const FctWorkloadResult result = RunFctWorkload(config, workload, *cdf, deadline, telemetry);
+  const FctWorkloadResult result = RunFctWorkload(config, workload, *cdf, options);
 
   const std::string fabric =
       config.fabric == FabricKind::kFatTree

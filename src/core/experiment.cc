@@ -136,19 +136,8 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config), sim_(c
     }
     case Scheme::kSprayReorder: {
       InstallLoadBalancer(topology_, LbKind::kRandomSpray);
-      // Cross-rack predicate over the built topology.
-      std::unordered_map<int, const Switch*> host_tor;
-      for (size_t i = 0; i < topology_.hosts.size(); ++i) {
-        host_tor.emplace(topology_.hosts[i]->id(), topology_.host_tor[i]);
-      }
-      auto is_cross_rack = [host_tor](const Packet& pkt) {
-        auto src = host_tor.find(pkt.src_host);
-        auto dst = host_tor.find(pkt.dst_host);
-        return src != host_tor.end() && dst != host_tor.end() && src->second != dst->second;
-      };
       for (Switch* tor : topology_.tors) {
-        auto hook =
-            std::make_unique<InNetworkReorderHook>(&sim_, config.reorder, is_cross_rack);
+        auto hook = std::make_unique<InNetworkReorderHook>(&sim_, config.reorder);
         tor->AddHook(hook.get());
         reorder_hooks_.push_back(std::move(hook));
       }

@@ -118,7 +118,6 @@ inline uint64_t GoldenTraceHash(Scheme scheme, uint64_t seed, bool pfc = true) {
 
 // The canonical experiment with a default Telemetry bundle attached for the
 // whole run, exported: the Chrome-trace JSON followed by the counters CSV.
-// Without trace sites compiled in (THEMIS_TRACE=OFF) the JSON has no events.
 inline std::string ExportStream(Scheme scheme, uint64_t seed) {
   Experiment exp(DeterminismConfig(scheme, seed));
   Telemetry telemetry(&exp.sim());

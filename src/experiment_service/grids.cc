@@ -9,7 +9,7 @@
 #include "src/scenario/scenario_script.h"
 #include "src/sim/parse.h"
 #include "src/stats/report.h"
-#include "src/stats/time_series.h"
+#include "src/stats/summary.h"
 
 namespace themis {
 namespace {
@@ -255,7 +255,8 @@ uint64_t FctCaseHash(const FctCaseSpec& c) {
 }
 
 FctWorkloadResult RunFctGridCase(const FctCaseSpec& c) {
-  return RunFctWorkload(FctCaseConfig(c), FctCaseWorkload(c), *c.cdf, FctCaseDeadline(c));
+  return RunFctWorkload(FctCaseConfig(c), FctCaseWorkload(c), *c.cdf,
+                        {.deadline = FctCaseDeadline(c)});
 }
 
 RowCells FctCsvCells(const FctCaseSpec& c, const FctWorkloadResult& r) {
@@ -639,7 +640,7 @@ std::vector<RowCells> RunChaosPoint(const ChaosPoint& p) {
       fault = p.faults[i - 1].label;
     }
     const FctWorkloadResult r =
-        RunFctWorkload(config, p.workload, FlowSizeCdf::WebSearch(), p.deadline);
+        RunFctWorkload(config, p.workload, FlowSizeCdf::WebSearch(), {.deadline = p.deadline});
     if (r.flows_completed == 0) {
       ok = FailPoint(p.name, fault + " run completed none of its " +
                                  std::to_string(r.flows_total) + " flows");
@@ -740,27 +741,27 @@ std::vector<RowCells> RunHybridValidation(const HybridValidation& v) {
   FctRunOptions options;
   options.deadline = v.deadline;
   std::vector<std::pair<std::string, FctWorkloadResult>> runs;
-  runs.emplace_back("baseline", RunFctWorkloadEx(v.config, v.foreground, cdf, options));
+  runs.emplace_back("baseline", RunFctWorkload(v.config, v.foreground, cdf, options));
 
   FctRunOptions full = options;
   full.background_flows = true;
   full.background = v.background;
-  runs.emplace_back("full", RunFctWorkloadEx(v.config, v.foreground, cdf, full));
+  runs.emplace_back("full", RunFctWorkload(v.config, v.foreground, cdf, full));
 
   PortPressureTrace trace;
   FctRunOptions calibrate = options;
   calibrate.record_period = kCalibrationPeriod;
   calibrate.calibration = &trace;
-  RunFctWorkloadEx(v.config, v.background, cdf, calibrate);
+  RunFctWorkload(v.config, v.background, cdf, calibrate);
 
   ExperimentConfig fluid = v.config;
   fluid.traffic_model = TrafficModelKind::kFluid;
   fluid.background_load = v.background.load;
-  runs.emplace_back("fluid", RunFctWorkloadEx(fluid, v.foreground, cdf, options));
+  runs.emplace_back("fluid", RunFctWorkload(fluid, v.foreground, cdf, options));
 
   FctRunOptions replay = options;
   replay.replay = &trace;
-  runs.emplace_back("trace", RunFctWorkloadEx(v.config, v.foreground, cdf, replay));
+  runs.emplace_back("trace", RunFctWorkload(v.config, v.foreground, cdf, replay));
 
   const PercentileSummary& truth = runs[1].second.slowdown;
   const std::vector<double> reference = runs[1].second.Slowdowns();
@@ -834,8 +835,8 @@ GridDef HybridGrid() {
     AddCase(grid, name,
             FctPointHash(config, workload, FlowSizeCdf::AliStorage().name(), deadline),
             config.seed, [=]() -> std::vector<RowCells> {
-              const FctWorkloadResult r =
-                  RunFctWorkload(config, workload, FlowSizeCdf::AliStorage(), deadline);
+              const FctWorkloadResult r = RunFctWorkload(
+                  config, workload, FlowSizeCdf::AliStorage(), {.deadline = deadline});
               if (r.flows_total == 0 || r.flows_completed != r.flows_total) {
                 FailPoint(name, Sprintf("finished %zu of %zu flows", r.flows_completed,
                                         r.flows_total));

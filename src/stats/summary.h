@@ -1,37 +1,34 @@
-// Time-series recording and summary statistics for experiment output.
+// Summary statistics for experiment output.
 
-#ifndef THEMIS_SRC_STATS_TIME_SERIES_H_
-#define THEMIS_SRC_STATS_TIME_SERIES_H_
+#ifndef THEMIS_SRC_STATS_SUMMARY_H_
+#define THEMIS_SRC_STATS_SUMMARY_H_
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
-
-#include "src/sim/time.h"
 
 namespace themis {
 
-struct Sample {
-  TimePs time;
-  double value;
-};
-
-// q in [0, 1] over an unsorted copy of `values`; linear interpolation
+// q in [0, 1] over a non-empty ascending `sorted`; linear interpolation
 // between adjacent order statistics (the same convention NumPy's default
-// percentile uses). Returns 0 for an empty input.
+// percentile uses).
+inline double PercentileOfSorted(const std::vector<double>& sorted, double q) {
+  const double rank = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+// PercentileOfSorted over an unsorted copy of `values`; 0 for an empty input.
 inline double PercentileOf(const std::vector<double>& values, double q) {
   if (values.empty()) {
     return 0.0;
   }
   std::vector<double> sorted = values;
   std::sort(sorted.begin(), sorted.end());
-  const double rank = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return PercentileOfSorted(sorted, q);
 }
 
 // The percentile row every FCT table reports (p50/p95/p99 slowdown).
@@ -51,71 +48,13 @@ struct PercentileSummary {
     }
     std::vector<double> sorted = values;
     std::sort(sorted.begin(), sorted.end());
-    auto at = [&sorted](double q) {
-      const double rank = q * static_cast<double>(sorted.size() - 1);
-      const auto lo = static_cast<size_t>(rank);
-      const size_t hi = std::min(lo + 1, sorted.size() - 1);
-      const double frac = rank - static_cast<double>(lo);
-      return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-    };
-    s.p50 = at(0.50);
-    s.p90 = at(0.90);
-    s.p95 = at(0.95);
-    s.p99 = at(0.99);
+    s.p50 = PercentileOfSorted(sorted, 0.50);
+    s.p90 = PercentileOfSorted(sorted, 0.90);
+    s.p95 = PercentileOfSorted(sorted, 0.95);
+    s.p99 = PercentileOfSorted(sorted, 0.99);
     s.max = sorted.back();
     return s;
   }
-};
-
-class TimeSeries {
- public:
-  void Record(TimePs time, double value) { samples_.push_back(Sample{time, value}); }
-
-  const std::vector<Sample>& samples() const { return samples_; }
-  bool empty() const { return samples_.empty(); }
-  size_t size() const { return samples_.size(); }
-
-  double Mean() const {
-    if (samples_.empty()) {
-      return 0.0;
-    }
-    double sum = 0.0;
-    for (const Sample& s : samples_) {
-      sum += s.value;
-    }
-    return sum / static_cast<double>(samples_.size());
-  }
-
-  double Min() const {
-    double m = samples_.empty() ? 0.0 : samples_.front().value;
-    for (const Sample& s : samples_) {
-      m = std::min(m, s.value);
-    }
-    return m;
-  }
-
-  double Max() const {
-    double m = samples_.empty() ? 0.0 : samples_.front().value;
-    for (const Sample& s : samples_) {
-      m = std::max(m, s.value);
-    }
-    return m;
-  }
-
-  // q in [0, 1]; interpolated order statistic on a sorted copy.
-  double Percentile(double q) const {
-    std::vector<double> values;
-    values.reserve(samples_.size());
-    for (const Sample& s : samples_) {
-      values.push_back(s.value);
-    }
-    return PercentileOf(values, q);
-  }
-
-  void Clear() { samples_.clear(); }
-
- private:
-  std::vector<Sample> samples_;
 };
 
 // Two-sample Kolmogorov-Smirnov statistic: sup_x |F_a(x) - F_b(x)| over the
@@ -183,4 +122,4 @@ struct ScalarSummary {
 
 }  // namespace themis
 
-#endif  // THEMIS_SRC_STATS_TIME_SERIES_H_
+#endif  // THEMIS_SRC_STATS_SUMMARY_H_

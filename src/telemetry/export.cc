@@ -107,110 +107,6 @@ char* FormatMicros(char* first, double micros) {
       .ptr;
 }
 
-const char* TraceEventName(TraceCategory category, uint8_t code) {
-  switch (category) {
-    case TraceCategory::kPort:
-      switch (static_cast<PortTrace>(code)) {
-        case PortTrace::kEnqueue:
-          return "port.enqueue";
-        case PortTrace::kDequeue:
-          return "port.dequeue";
-        case PortTrace::kDrop:
-          return "port.drop";
-        case PortTrace::kEcnMark:
-          return "port.ecn_mark";
-        case PortTrace::kPauseOn:
-          return "port.pause_on";
-        case PortTrace::kPauseOff:
-          return "port.pause_off";
-      }
-      break;
-    case TraceCategory::kRnic:
-      switch (static_cast<RnicTrace>(code)) {
-        case RnicTrace::kSend:
-          return "rnic.send";
-        case RnicTrace::kRetransmit:
-          return "rnic.retransmit";
-        case RnicTrace::kAckRx:
-          return "rnic.ack_rx";
-        case RnicTrace::kNackRx:
-          return "rnic.nack_rx";
-        case RnicTrace::kCnpRx:
-          return "rnic.cnp_rx";
-        case RnicTrace::kTimeout:
-          return "rnic.timeout";
-        case RnicTrace::kNackTx:
-          return "rnic.nack_tx";
-        case RnicTrace::kAckTx:
-          return "rnic.ack_tx";
-        case RnicTrace::kCorruptRx:
-          return "rnic.corrupt_rx";
-      }
-      break;
-    case TraceCategory::kThemis:
-      switch (static_cast<ThemisTrace>(code)) {
-        case ThemisTrace::kFlowCreate:
-          return "themis.flow_create";
-        case ThemisTrace::kFlowHit:
-          return "themis.flow_hit";
-        case ThemisTrace::kFlowMiss:
-          return "themis.flow_miss";
-        case ThemisTrace::kRingPush:
-          return "themis.ring_push";
-        case ThemisTrace::kRingPop:
-          return "themis.ring_pop";
-        case ThemisTrace::kNackValid:
-          return "themis.nack_valid";
-        case ThemisTrace::kNackBlocked:
-          return "themis.nack_blocked";
-        case ThemisTrace::kNackUnmatched:
-          return "themis.nack_unmatched";
-        case ThemisTrace::kCompensate:
-          return "themis.compensate";
-        case ThemisTrace::kCompCancelled:
-          return "themis.comp_cancelled";
-        case ThemisTrace::kSpuriousValid:
-          return "themis.spurious_valid";
-        case ThemisTrace::kGraceDeferred:
-          return "themis.grace_deferred";
-        case ThemisTrace::kGraceExpired:
-          return "themis.grace_expired";
-        case ThemisTrace::kGraceCancelled:
-          return "themis.grace_cancelled";
-      }
-      break;
-    case TraceCategory::kCc:
-      switch (static_cast<CcTrace>(code)) {
-        case CcTrace::kRateCut:
-          return "cc.rate_cut";
-        case CcTrace::kRateIncrease:
-          return "cc.rate_increase";
-      }
-      break;
-    case TraceCategory::kTraffic:
-      switch (static_cast<TrafficTrace>(code)) {
-        case TrafficTrace::kEpochUpdate:
-          return "traffic.epoch_update";
-      }
-      break;
-    case TraceCategory::kScenario:
-      switch (static_cast<ScenarioTrace>(code)) {
-        case ScenarioTrace::kFaultApplied:
-          return "scenario.fault_applied";
-        case ScenarioTrace::kFaultCleared:
-          return "scenario.fault_cleared";
-        case ScenarioTrace::kFirstDrop:
-          return "scenario.first_drop";
-        case ScenarioTrace::kRecovered:
-          return "scenario.recovered";
-      }
-      break;
-    case TraceCategory::kCount:
-      break;
-  }
-  return "unknown";
-}
-
 void WriteChromeTrace(const TraceSink& sink, std::ostream& out, const NodeNamer& namer) {
   BufferedWriter w(out);
   w.Append("{\"traceEvents\":[");

@@ -48,19 +48,15 @@ class Telemetry {
         trace_(config.trace_capacity),
         sampler_(sim, &counters_) {
     trace_.set_category_mask(config.category_mask);
-    if constexpr (kTraceCompiledIn) {
-      sim_->set_trace_sink(&trace_);
-    }
+    sim_->set_trace_sink(&trace_);
   }
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
   ~Telemetry() {
-    if constexpr (kTraceCompiledIn) {
-      if (sim_->trace_sink() == &trace_) {
-        sim_->set_trace_sink(nullptr);
-      }
+    if (sim_->trace_sink() == &trace_) {
+      sim_->set_trace_sink(nullptr);
     }
   }
 

@@ -1,4 +1,4 @@
-// Binary event tracing with a zero-overhead-when-off contract.
+// Binary event tracing.
 //
 // A TraceSink is a fixed-capacity ring of compact binary records: simulation
 // time, category, event code, node/port identity, flow/QP id, and two 64-bit
@@ -6,9 +6,6 @@
 // points (port enqueue/drop/pause, RNIC send/NACK, Themis verdicts, DCQCN
 // rate updates); the helper is
 //
-//   * an `if constexpr` no-op when the build sets THEMIS_TRACE_ENABLED=0
-//     (CMake -DTHEMIS_TRACE=OFF) — record sites compile to nothing, so
-//     Release benchmarks pay zero cost;
 //   * a null-check when no sink is attached to the Simulator (the default);
 //   * a category-mask test plus one 40-byte ring write when tracing is live.
 //
@@ -20,23 +17,20 @@
 #ifndef THEMIS_SRC_TELEMETRY_TRACE_H_
 #define THEMIS_SRC_TELEMETRY_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
-// Compile-time kill switch; CMake option THEMIS_TRACE=OFF defines it to 0.
-#ifndef THEMIS_TRACE_ENABLED
-#define THEMIS_TRACE_ENABLED 1
-#endif
-
 namespace themis {
 
-inline constexpr bool kTraceCompiledIn = THEMIS_TRACE_ENABLED != 0;
-
-// Event categories, one runtime mask bit each. Keep in sync with
-// TraceCategoryName().
+// Event categories, one runtime mask bit each. Each enum below is followed by
+// its name array, indexed by code; the static_asserts keep the two the same
+// length.
 enum class TraceCategory : uint8_t {
   kPort = 0,    // egress-port queue activity, drops, ECN, PFC pause
   kRnic = 1,    // sender/receiver QP activity
@@ -47,24 +41,14 @@ enum class TraceCategory : uint8_t {
   kCount = 6,
 };
 
+inline constexpr const char* kTraceCategoryNames[] = {
+    "port", "rnic", "themis", "cc", "traffic", "scenario",
+};
+static_assert(std::size(kTraceCategoryNames) == static_cast<size_t>(TraceCategory::kCount));
+
 constexpr const char* TraceCategoryName(TraceCategory category) {
-  switch (category) {
-    case TraceCategory::kPort:
-      return "port";
-    case TraceCategory::kRnic:
-      return "rnic";
-    case TraceCategory::kThemis:
-      return "themis";
-    case TraceCategory::kCc:
-      return "cc";
-    case TraceCategory::kTraffic:
-      return "traffic";
-    case TraceCategory::kScenario:
-      return "scenario";
-    case TraceCategory::kCount:
-      break;
-  }
-  return "?";
+  const auto index = static_cast<size_t>(category);
+  return index < std::size(kTraceCategoryNames) ? kTraceCategoryNames[index] : "?";
 }
 
 constexpr uint32_t TraceCategoryBit(TraceCategory category) {
@@ -85,6 +69,11 @@ enum class PortTrace : uint8_t {
   kPauseOff = 5,  // PFC pause released; a = accumulated pause ps so far
 };
 
+inline constexpr const char* kPortTraceNames[] = {
+    "port.enqueue", "port.dequeue", "port.drop", "port.ecn_mark", "port.pause_on", "port.pause_off",
+};
+static_assert(std::size(kPortTraceNames) == static_cast<size_t>(PortTrace::kPauseOff) + 1);
+
 enum class RnicTrace : uint8_t {
   kSend = 0,        // fresh data packet; a = psn, b = wire bytes
   kRetransmit = 1,  // retransmission; a = psn, b = wire bytes
@@ -96,6 +85,12 @@ enum class RnicTrace : uint8_t {
   kAckTx = 7,       // receiver emitted an ACK; a = ePSN, b = OOO-bitmap size
   kCorruptRx = 8,   // wire-corrupted arrival CRC-dropped; a = psn, b = bytes
 };
+
+inline constexpr const char* kRnicTraceNames[] = {
+    "rnic.send", "rnic.retransmit", "rnic.ack_rx", "rnic.nack_rx", "rnic.cnp_rx", "rnic.timeout",
+    "rnic.nack_tx", "rnic.ack_tx", "rnic.corrupt_rx",
+};
+static_assert(std::size(kRnicTraceNames) == static_cast<size_t>(RnicTrace::kCorruptRx) + 1);
 
 enum class ThemisTrace : uint8_t {
   kFlowCreate = 0,     // flow-table miss on data -> entry provisioned
@@ -114,14 +109,30 @@ enum class ThemisTrace : uint8_t {
   kGraceCancelled = 13,  // ePSN arrived during grace -> NACK dropped; a = ePSN
 };
 
+inline constexpr const char* kThemisTraceNames[] = {
+    "themis.flow_create", "themis.flow_hit", "themis.flow_miss", "themis.ring_push",
+    "themis.ring_pop", "themis.nack_valid", "themis.nack_blocked", "themis.nack_unmatched",
+    "themis.compensate", "themis.comp_cancelled", "themis.spurious_valid", "themis.grace_deferred",
+    "themis.grace_expired", "themis.grace_cancelled",
+};
+static_assert(std::size(kThemisTraceNames) ==
+              static_cast<size_t>(ThemisTrace::kGraceCancelled) + 1);
+
 enum class CcTrace : uint8_t {
   kRateCut = 0,       // multiplicative decrease; a = old bps, b = new bps
   kRateIncrease = 1,  // increase event; a = new current bps, b = target bps
 };
 
+inline constexpr const char* kCcTraceNames[] = {"cc.rate_cut", "cc.rate_increase"};
+static_assert(std::size(kCcTraceNames) == static_cast<size_t>(CcTrace::kRateIncrease) + 1);
+
 enum class TrafficTrace : uint8_t {
   kEpochUpdate = 0,  // background epoch applied; a = total exo bytes, b = epoch
 };
+
+inline constexpr const char* kTrafficTraceNames[] = {"traffic.epoch_update"};
+static_assert(std::size(kTrafficTraceNames) ==
+              static_cast<size_t>(TrafficTrace::kEpochUpdate) + 1);
 
 enum class ScenarioTrace : uint8_t {
   kFaultApplied = 0,  // fault occurrence began; a = event index, b = occurrence
@@ -130,6 +141,29 @@ enum class ScenarioTrace : uint8_t {
   kRecovered = 3,     // goodput back above the restore fraction; a = record id,
                       // b = recovery time ps (first drop -> recovered)
 };
+
+inline constexpr const char* kScenarioTraceNames[] = {
+    "scenario.fault_applied", "scenario.fault_cleared", "scenario.first_drop", "scenario.recovered",
+};
+static_assert(std::size(kScenarioTraceNames) ==
+              static_cast<size_t>(ScenarioTrace::kRecovered) + 1);
+
+// The name arrays above, indexed by TraceCategory.
+inline constexpr std::span<const char* const> kTraceEventNames[] = {
+    kPortTraceNames, kRnicTraceNames, kThemisTraceNames,
+    kCcTraceNames, kTrafficTraceNames, kScenarioTraceNames,
+};
+static_assert(std::size(kTraceEventNames) == static_cast<size_t>(TraceCategory::kCount));
+
+// Human-readable name for (category, code); "unknown" for a code no enum
+// declares. Shared by the exporters.
+constexpr const char* TraceEventName(TraceCategory category, uint8_t code) {
+  const auto index = static_cast<size_t>(category);
+  if (index >= std::size(kTraceEventNames) || code >= kTraceEventNames[index].size()) {
+    return "unknown";
+  }
+  return kTraceEventNames[index][code];
+}
 
 // One ring record. 40 bytes; `a` and `b` carry per-code payload documented
 // with each code above.
@@ -220,26 +254,14 @@ class TraceSink {
   uint64_t overwritten_ = 0;
 };
 
-// The one record-site entry point. With THEMIS_TRACE=OFF the whole body is
-// discarded at compile time; otherwise it is a null-check unless a sink is
-// attached to the simulator and the category passes the runtime mask.
+// The one record-site entry point: a null-check unless a sink is attached to
+// the simulator and the category passes the runtime mask.
 inline void TraceRecord(Simulator* sim, TraceCategory category, uint8_t code,
                         uint16_t node, uint8_t port, uint32_t id, uint64_t a = 0,
                         uint64_t b = 0) {
-  if constexpr (kTraceCompiledIn) {
-    TraceSink* sink = sim->trace_sink();
-    if (sink != nullptr && sink->Accepts(category)) {
-      sink->Record(sim->now(), category, code, node, port, id, a, b);
-    }
-  } else {
-    (void)sim;
-    (void)category;
-    (void)code;
-    (void)node;
-    (void)port;
-    (void)id;
-    (void)a;
-    (void)b;
+  TraceSink* sink = sim->trace_sink();
+  if (sink != nullptr && sink->Accepts(category)) {
+    sink->Record(sim->now(), category, code, node, port, id, a, b);
   }
 }
 
@@ -274,9 +296,6 @@ inline void TraceScenario(Simulator* sim, ScenarioTrace code, uint64_t a = 0,
                           uint64_t b = 0) {
   TraceRecord(sim, TraceCategory::kScenario, static_cast<uint8_t>(code), 0, 0, 0, a, b);
 }
-
-// Human-readable name for (category, code); shared by the exporters.
-const char* TraceEventName(TraceCategory category, uint8_t code);
 
 }  // namespace themis
 

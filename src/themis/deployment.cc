@@ -13,21 +13,6 @@ std::unique_ptr<ThemisDeployment> ThemisDeployment::Install(
     deployment->config_.themis_d.num_paths = static_cast<uint32_t>(topo.equal_cost_paths);
   }
 
-  for (size_t i = 0; i < topo.hosts.size(); ++i) {
-    deployment->host_node_to_tor_.emplace(topo.hosts[i]->id(), topo.host_tor[i]);
-  }
-
-  // Cross-rack predicate shared by all Themis-D instances.
-  ThemisDeployment* raw = deployment.get();
-  auto is_cross_rack = [raw](const Packet& pkt) {
-    auto src = raw->host_node_to_tor_.find(pkt.src_host);
-    auto dst = raw->host_node_to_tor_.find(pkt.dst_host);
-    if (src == raw->host_node_to_tor_.end() || dst == raw->host_node_to_tor_.end()) {
-      return false;
-    }
-    return src->second != dst->second;
-  };
-
   // Themis-S registers ahead of Themis-D. The order is not observable: on
   // any one packet at most one of the two acts (S: non-last-hop data from a
   // local host; D: last-hop data and host-emitted control).
@@ -47,7 +32,7 @@ std::unique_ptr<ThemisDeployment> ThemisDeployment::Install(
   }
 
   for (Switch* tor : topo.tors) {
-    auto hook = std::make_unique<ThemisD>(deployment->config_.themis_d, is_cross_rack);
+    auto hook = std::make_unique<ThemisD>(deployment->config_.themis_d);
     tor->AddHook(hook.get());
     deployment->d_hooks_.push_back(std::move(hook));
     deployment->d_tor_names_.push_back(tor->name());

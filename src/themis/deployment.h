@@ -7,7 +7,6 @@
 #define THEMIS_SRC_THEMIS_DEPLOYMENT_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/themis/themis_d.h"
@@ -67,7 +66,6 @@ class ThemisDeployment {
 
   Topology* topo_ = nullptr;
   ThemisDeploymentConfig config_;
-  std::unordered_map<int, const Switch*> host_node_to_tor_;
   std::vector<std::unique_ptr<ThemisD>> d_hooks_;
   std::vector<std::string> d_tor_names_;  // parallel to d_hooks_
   std::vector<std::unique_ptr<ThemisS>> s_hooks_;

@@ -4,10 +4,10 @@ namespace themis {
 
 bool InNetworkReorderHook::OnIngress(Switch& sw, Packet& pkt, int in_port) {
   (void)in_port;
-  if (pkt.type != PacketType::kData || !sw.IsLastHop(pkt.dst_host)) {
-    return true;
-  }
-  if (is_cross_rack_ && !is_cross_rack_(pkt)) {
+  // Cross-rack data on its last hop only: a source this ToR also reaches in
+  // one hop is a same-rack peer.
+  if (pkt.type != PacketType::kData || !sw.IsLastHop(pkt.dst_host) ||
+      sw.IsLastHop(pkt.src_host)) {
     return true;
   }
 

@@ -21,7 +21,6 @@
 #ifndef THEMIS_SRC_THEMIS_REORDER_BUFFER_H_
 #define THEMIS_SRC_THEMIS_REORDER_BUFFER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 
@@ -56,12 +55,8 @@ struct ReorderHookStats {
 
 class InNetworkReorderHook : public SwitchHook {
  public:
-  InNetworkReorderHook(Simulator* sim, const ReorderHookConfig& config,
-                       std::function<bool(const Packet&)> is_cross_rack)
-      : sim_(sim),
-        config_(config),
-        is_cross_rack_(std::move(is_cross_rack)),
-        flows_(config_.flow_table) {}
+  InNetworkReorderHook(Simulator* sim, const ReorderHookConfig& config)
+      : sim_(sim), config_(config), flows_(config_.flow_table) {}
 
   bool OnIngress(Switch& sw, Packet& pkt, int in_port) override;
 
@@ -90,7 +85,6 @@ class InNetworkReorderHook : public SwitchHook {
 
   Simulator* sim_;
   ReorderHookConfig config_;
-  std::function<bool(const Packet&)> is_cross_rack_;
   FlowTable<FlowState> flows_;
   int64_t total_buffered_ = 0;
   ReorderHookStats stats_;

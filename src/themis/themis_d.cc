@@ -9,11 +9,10 @@ bool ThemisD::OnIngress(Switch& sw, Packet& pkt, int in_port) {
     return true;
   }
   if (pkt.type == PacketType::kData) {
-    // Track only data packets about to take the last hop to a local NIC.
-    if (!sw.IsLastHop(pkt.dst_host)) {
-      return true;
-    }
-    if (is_cross_rack_ && !is_cross_rack_(pkt)) {
+    // Track only cross-rack data packets about to take the last hop to a
+    // local NIC. Every host hangs off one ToR, so a source this ToR also
+    // reaches in one hop is a same-rack peer.
+    if (!sw.IsLastHop(pkt.dst_host) || sw.IsLastHop(pkt.src_host)) {
       return true;
     }
     return HandleData(sw, pkt);

@@ -27,7 +27,6 @@
 #ifndef THEMIS_SRC_THEMIS_THEMIS_D_H_
 #define THEMIS_SRC_THEMIS_THEMIS_D_H_
 
-#include <functional>
 #include <string>
 #include <unordered_map>
 
@@ -61,7 +60,7 @@ struct ThemisDConfig {
   // Register-array realism (Section 4): capacity/policy of the per-ToR flow
   // table. Defaults (capacity 0, kNone) keep the legacy unbounded
   // behaviour. entry_bytes of 0 derives the §4 width from queue_capacity.
-  FlowTableConfig flow_table;
+  FlowTableConfig flow_table = {};
   // Per-flow telemetry columns are registered lazily as flows appear; at
   // million-flow scale that is O(flows) registry growth forever. Beyond
   // this many flows, verdict tallies aggregate into one shared overflow
@@ -106,11 +105,9 @@ struct ThemisDStats {
 
 class ThemisD : public SwitchHook {
  public:
-  // `is_cross_rack(pkt)` gates tracking to cross-rack QPs (Section 4: ToR
-  // state is kept only for QPs between different racks). Pass nullptr to
-  // track everything.
-  ThemisD(const ThemisDConfig& config, std::function<bool(const Packet&)> is_cross_rack)
-      : config_(config), is_cross_rack_(std::move(is_cross_rack)) {
+  // Tracks cross-rack QPs only (Section 4: ToR state is kept only for QPs
+  // between different racks).
+  explicit ThemisD(const ThemisDConfig& config) : config_(config) {
     if (config_.num_paths == 0) {
       config_.num_paths = 1;
     }
@@ -228,7 +225,6 @@ class ThemisD : public SwitchHook {
   void ExpireGraceIfDue(Switch& sw, uint32_t flow_id, FlowEntry& entry);
 
   ThemisDConfig config_;
-  std::function<bool(const Packet&)> is_cross_rack_;
   bool enabled_ = true;
   // Last-flow cache for the data hot path: same-tick bursts are dominated by
   // runs of packets from few flows, and FlowTable entry pointers stay valid

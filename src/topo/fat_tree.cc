@@ -67,9 +67,7 @@ Topology BuildFatTree(Network& net, const FatTreeConfig& config, const HostFacto
         Node* host = host_factory(net, ordinal, "host" + std::to_string(ordinal));
         DuplexLink link = net.Connect(host, edges[static_cast<size_t>(e)], config.host_link);
         edges[static_cast<size_t>(e)]->MarkHostPort(link.b.port);
-        if (config.ecn_on_host_links) {
-          edges[static_cast<size_t>(e)]->port(link.b.port)->ecn() = config.ecn;
-        }
+        edges[static_cast<size_t>(e)]->port(link.b.port)->ecn() = config.ecn;
         topo.hosts.push_back(host);
         topo.host_tor.push_back(edges[static_cast<size_t>(e)]);
       }
@@ -79,10 +77,8 @@ Topology BuildFatTree(Network& net, const FatTreeConfig& config, const HostFacto
     for (Switch* edge : edges) {
       for (Switch* agg : aggs) {
         DuplexLink link = net.Connect(edge, agg, config.fabric_link);
-        if (config.ecn_on_fabric) {
-          edge->port(link.a.port)->ecn() = config.ecn;
-          agg->port(link.b.port)->ecn() = config.ecn;
-        }
+        edge->port(link.a.port)->ecn() = config.ecn;
+        agg->port(link.b.port)->ecn() = config.ecn;
       }
     }
 
@@ -93,10 +89,8 @@ Topology BuildFatTree(Network& net, const FatTreeConfig& config, const HostFacto
         LinkSpec spec = config.fabric_link;
         spec.propagation_delay += static_cast<TimePs>(j) * config.core_delay_skew;
         DuplexLink link = net.Connect(aggs[static_cast<size_t>(a)], core, spec);
-        if (config.ecn_on_fabric) {
-          aggs[static_cast<size_t>(a)]->port(link.a.port)->ecn() = config.ecn;
-          core->port(link.b.port)->ecn() = config.ecn;
-        }
+        aggs[static_cast<size_t>(a)]->port(link.a.port)->ecn() = config.ecn;
+        core->port(link.b.port)->ecn() = config.ecn;
       }
     }
   }

@@ -19,9 +19,7 @@ struct FatTreeConfig {
   // Aggregation->core link j (per aggregation switch) gets j * skew extra
   // propagation delay: multi-path delay variation for the core tier.
   TimePs core_delay_skew = 0;
-  bool ecn_on_fabric = true;
-  bool ecn_on_host_links = true;
-  EcnProfile ecn;
+  EcnProfile ecn;  // every port, host-facing and fabric
 };
 
 Topology BuildFatTree(Network& net, const FatTreeConfig& config, const HostFactory& host_factory);

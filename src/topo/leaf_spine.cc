@@ -41,9 +41,7 @@ Topology BuildLeafSpine(Network& net, const LeafSpineConfig& config,
       Node* host = host_factory(net, ordinal, "host" + std::to_string(ordinal));
       DuplexLink link = net.Connect(host, tors[static_cast<size_t>(t)], config.host_link);
       tors[static_cast<size_t>(t)]->MarkHostPort(link.b.port);
-      if (config.ecn_on_host_links) {
-        tors[static_cast<size_t>(t)]->port(link.b.port)->ecn() = config.ecn;
-      }
+      tors[static_cast<size_t>(t)]->port(link.b.port)->ecn() = config.ecn;
       topo.hosts.push_back(host);
       topo.host_tor.push_back(tors[static_cast<size_t>(t)]);
     }
@@ -56,10 +54,8 @@ Topology BuildLeafSpine(Network& net, const LeafSpineConfig& config,
       LinkSpec spec = config.fabric_link;
       spec.propagation_delay += static_cast<TimePs>(s) * config.spine_delay_skew;
       DuplexLink link = net.Connect(tor, spine, spec);
-      if (config.ecn_on_fabric) {
-        tor->port(link.a.port)->ecn() = config.ecn;
-        spine->port(link.b.port)->ecn() = config.ecn;
-      }
+      tor->port(link.a.port)->ecn() = config.ecn;
+      spine->port(link.b.port)->ecn() = config.ecn;
     }
   }
 

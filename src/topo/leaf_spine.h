@@ -23,9 +23,7 @@ struct LeafSpineConfig {
   // the multi-path delay variation (cable lengths, pipeline differences)
   // that makes sprayed packets arrive out of order even without queueing.
   TimePs spine_delay_skew = 0;
-  bool ecn_on_fabric = true;
-  bool ecn_on_host_links = true;
-  EcnProfile ecn;
+  EcnProfile ecn;  // every port, host-facing and fabric
 };
 
 // Builds the fabric into `net`; hosts are created through `host_factory` in

@@ -30,16 +30,6 @@ struct Topology {
   std::vector<Switch*> host_tor;   // per host ordinal: its ToR
   int equal_cost_paths = 1;        // N between cross-ToR host pairs
 
-  // Host ordinal for a node id, or -1.
-  int HostOrdinal(int node_id) const {
-    for (size_t i = 0; i < hosts.size(); ++i) {
-      if (hosts[i]->id() == node_id) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-
   // True when the two host ordinals sit under different ToRs.
   bool CrossRack(int host_a, int host_b) const {
     return host_tor[static_cast<size_t>(host_a)] != host_tor[static_cast<size_t>(host_b)];

@@ -112,7 +112,6 @@ FctWorkloadResult FlowDriver::Collect() const {
     ++result.flows_completed;
     delivered_bytes += r.spec.bytes;
     result.makespan = std::max(result.makespan, r.completion);
-    result.slowdown_series.Record(r.completion, r.Slowdown());
   }
   result.slowdown = PercentileSummary::Of(result.Slowdowns());
   if (result.makespan > 0) {
@@ -133,16 +132,7 @@ FctWorkloadResult FlowDriver::Collect() const {
 
 FctWorkloadResult RunFctWorkload(const ExperimentConfig& exp_config,
                                  const WorkloadSpec& workload, const FlowSizeCdf& cdf,
-                                 TimePs deadline, const FctTelemetryOptions& telemetry) {
-  FctRunOptions options;
-  options.deadline = deadline;
-  options.telemetry = telemetry;
-  return RunFctWorkloadEx(exp_config, workload, cdf, options);
-}
-
-FctWorkloadResult RunFctWorkloadEx(const ExperimentConfig& exp_config,
-                                   const WorkloadSpec& workload, const FlowSizeCdf& cdf,
-                                   const FctRunOptions& options) {
+                                 const FctRunOptions& options) {
   const FctTelemetryOptions& telemetry = options.telemetry;
   Experiment exp(exp_config);
   if (options.replay != nullptr) {

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "src/core/experiment.h"
-#include "src/stats/time_series.h"
+#include "src/stats/summary.h"
 #include "src/traffic/trace_model.h"
 #include "src/workload/flow_generator.h"
 
@@ -49,7 +49,6 @@ struct FctWorkloadResult {
   double goodput_gbps = 0.0;       // completed foreground payload / makespan
   TimePs makespan = 0;             // last foreground completion
   std::vector<FlowRecord> records;
-  TimeSeries slowdown_series;      // (completion time, slowdown) per fg flow
 
   // Fabric-side aggregates snapshotted after the run.
   double rtx_ratio = 0.0;
@@ -118,16 +117,15 @@ struct FctTelemetryOptions {
   std::string counters_path;  // empty = keep in memory only
 };
 
-// Extended harness knobs for hybrid-fidelity comparisons (all default-off:
-// RunFctWorkloadEx with a default FctRunOptions == RunFctWorkload).
+// Harness knobs; the defaults run the plain workload to completion.
 struct FctRunOptions {
   TimePs deadline = kTimeInfinity;
-  FctTelemetryOptions telemetry;
+  FctTelemetryOptions telemetry = {};
   // Full-fidelity reference: also generate this background workload and run
   // it as real packet-level flows tagged background (excluded from the
   // measured statistics). Give it a seed different from the foreground's.
   bool background_flows = false;
-  WorkloadSpec background;
+  WorkloadSpec background = {};
   // Calibration: sample every fabric port's (occupancy, utilization) at this
   // cadence into *calibration after the run — feed it to a TraceTrafficModel
   // for the trace-calibrated hybrid variant. 0 / null = off.
@@ -140,16 +138,11 @@ struct FctRunOptions {
 };
 
 // One-call harness: builds the Experiment, generates the flow list, runs to
-// completion (or `deadline`), and returns the collected result.
+// completion (or `options.deadline`), and returns the collected result;
+// `options` adds telemetry, background packet flows, occupancy-trace
+// calibration and trace-model replay.
 FctWorkloadResult RunFctWorkload(const ExperimentConfig& exp_config, const WorkloadSpec& workload,
-                                 const FlowSizeCdf& cdf, TimePs deadline = kTimeInfinity,
-                                 const FctTelemetryOptions& telemetry = {});
-
-// The hybrid-aware harness: RunFctWorkload plus background packet flows,
-// occupancy-trace calibration, and trace-model replay per `options`.
-FctWorkloadResult RunFctWorkloadEx(const ExperimentConfig& exp_config,
-                                   const WorkloadSpec& workload, const FlowSizeCdf& cdf,
-                                   const FctRunOptions& options);
+                                 const FlowSizeCdf& cdf, const FctRunOptions& options = {});
 
 }  // namespace themis
 

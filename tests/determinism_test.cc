@@ -273,7 +273,7 @@ TEST(DeterminismTest, TelemetryAttachmentIsInvisibleInTraceHashes) {
 // ExportStream() in trace_digest.h). It pins every byte both exporters
 // write, so a rewrite of the sample store or the formatters must reproduce
 // the old files exactly. Regenerated by the regen-goldens target alongside
-// the main table (from a THEMIS_TRACE=ON build).
+// the main table.
 struct ExportGolden {
   Scheme scheme;
   uint64_t seed;
@@ -288,9 +288,6 @@ const ExportGolden kExportGoldens[] = {
 // EXPORT-GOLDEN-END
 
 TEST(DeterminismTest, ExportedBytesMatchPinnedGolden) {
-  if (!kTraceCompiledIn) {
-    GTEST_SKIP() << "built with THEMIS_TRACE=OFF; the trace export is empty";
-  }
   for (const ExportGolden& g : kExportGoldens) {
     EXPECT_EQ(FnvBytes(ExportStream(g.scheme, g.seed)), g.hash)
         << SchemeName(g.scheme) << " seed=" << g.seed;

@@ -303,7 +303,7 @@ TEST(FlowTableFailOpenPropertyTest, EvictingThemisDNeverStallsRecovery) {
     config.compensation_enabled = true;
     config.flow_table.capacity = 4;  // 12 live flows -> constant eviction
     config.flow_table.policy = EvictionPolicy::kLruClock;
-    ThemisD hook(config, nullptr);
+    ThemisD hook(config);
     dst_tor->AddHook(&hook);
 
     std::vector<ReferenceNicSr> refs(kFlows);

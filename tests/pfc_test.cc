@@ -446,7 +446,7 @@ FctWorkloadResult RunSpuriousValidWorkload(bool grace) {
   workload.seed = 42;
   workload.max_flows = 48;
   return RunFctWorkload(SpuriousValidFabric(grace), workload, FlowSizeCdf::AliStorage(),
-                        /*deadline=*/workload.window * 40);
+                        {.deadline = workload.window * 40});
 }
 
 TEST(PfcGraceRegressionTest, GraceWindowEliminatesSpuriousValidNacks) {

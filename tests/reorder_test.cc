@@ -20,7 +20,11 @@ class RecordingHost : public Node {
   std::vector<Packet> received;
 };
 
+// Two racks, two hosts each; the hook sits on host 2's ToR, whose ports 0..1
+// face hosts 2..3 and ports 2..3 face spines.
 struct ReorderHarness {
+  static constexpr int kSpinePort = 2;
+
   Simulator sim;
   Network net{&sim};
   std::vector<RecordingHost*> hosts;
@@ -32,14 +36,14 @@ struct ReorderHarness {
     LeafSpineConfig topo_config;
     topo_config.num_tors = 2;
     topo_config.num_spines = 2;
-    topo_config.hosts_per_tor = 1;
+    topo_config.hosts_per_tor = 2;
     topo = BuildLeafSpine(net, topo_config, [this](Network& n, int, const std::string& name) {
       RecordingHost* host = n.MakeNode<RecordingHost>(name);
       hosts.push_back(host);
       return host;
     });
     dst_tor = topo.tors[1];
-    hook = std::make_unique<InNetworkReorderHook>(&sim, config, nullptr);
+    hook = std::make_unique<InNetworkReorderHook>(&sim, config);
     dst_tor->AddHook(hook.get());
   }
 
@@ -47,13 +51,13 @@ struct ReorderHarness {
 
   void ArriveFlow(uint32_t flow, uint32_t psn) {
     dst_tor->ReceivePacket(
-        MakeDataPacket(flow, hosts[0]->id(), hosts[1]->id(), psn, 1000, 0x77), /*in=*/1);
+        MakeDataPacket(flow, hosts[0]->id(), hosts[2]->id(), psn, 1000, 0x77), kSpinePort);
   }
 
   std::vector<uint32_t> DeliveredPsns() {
     sim.Run();
     std::vector<uint32_t> psns;
-    for (const Packet& pkt : hosts[1]->received) {
+    for (const Packet& pkt : hosts[2]->received) {
       psns.push_back(pkt.psn);
     }
     return psns;
@@ -68,6 +72,24 @@ TEST(ReorderHookTest, ReordersOutOfOrderArrivals) {
   EXPECT_EQ(h.DeliveredPsns(), (std::vector<uint32_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(h.hook->stats().packets_held, 2u);
   EXPECT_EQ(h.hook->total_buffered_bytes(), 0);
+}
+
+TEST(ReorderHookTest, BuffersOnlyCrossRackFlows) {
+  // A same-rack flow (host 3 -> host 2) never enters the reorder buffer: its
+  // out-of-order arrivals pass straight through.
+  ReorderHarness h;
+  for (uint32_t psn : {0u, 2u, 1u}) {
+    h.dst_tor->ReceivePacket(
+        MakeDataPacket(2, h.hosts[3]->id(), h.hosts[2]->id(), psn, 1000, 0x77), /*in=*/1);
+  }
+  EXPECT_EQ(h.DeliveredPsns(), (std::vector<uint32_t>{0, 2, 1}));
+  EXPECT_EQ(h.hook->stats().packets_held, 0u);
+  EXPECT_EQ(h.hook->flow_table_stats().inserts, 0u);
+
+  h.Arrive(0);
+  h.Arrive(2);
+  EXPECT_EQ(h.hook->stats().packets_held, 1u);
+  EXPECT_EQ(h.hook->flow_table_stats().inserts, 1u);
 }
 
 TEST(ReorderHookTest, InOrderStreamPassesUntouched) {

@@ -577,8 +577,9 @@ TEST(IrnTest, NackCarriesTriggerPsn) {
   auto flow = h.MakeFlow(1, RnicHarness::Config(TransportKind::kIrn));
   h.b->ReceivePacket(Data(1, h, 3), 0);  // 0,1,2 missing
   h.sim.Run();
-  // The NACK reached a's sender QP (unknown-flow drops would count).
   EXPECT_EQ(h.b->receiver_qp(1)->stats().nacks_sent, 1u);
+  // The NACK reached a's sender QP.
+  EXPECT_EQ(flow.tx->stats().nacks_received, 1u);
 }
 
 TEST(IrnTest, SenderRetransmitsExactGap) {

@@ -1,5 +1,4 @@
-// Tests for the statistics library: time series, summaries, samplers,
-// tables and CSV output.
+// Tests for the statistics library: summaries, tables and CSV output.
 
 #include <gtest/gtest.h>
 
@@ -8,43 +7,10 @@
 #include <vector>
 
 #include "src/stats/report.h"
-#include "src/stats/samplers.h"
-#include "src/stats/time_series.h"
+#include "src/stats/summary.h"
 
 namespace themis {
 namespace {
-
-TEST(TimeSeriesTest, BasicStats) {
-  TimeSeries ts;
-  ts.Record(0, 1.0);
-  ts.Record(1, 2.0);
-  ts.Record(2, 3.0);
-  ts.Record(3, 10.0);
-  EXPECT_DOUBLE_EQ(ts.Mean(), 4.0);
-  EXPECT_DOUBLE_EQ(ts.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(ts.Max(), 10.0);
-  EXPECT_EQ(ts.size(), 4u);
-}
-
-TEST(TimeSeriesTest, EmptyIsSafe) {
-  TimeSeries ts;
-  EXPECT_TRUE(ts.empty());
-  EXPECT_DOUBLE_EQ(ts.Mean(), 0.0);
-  EXPECT_DOUBLE_EQ(ts.Min(), 0.0);
-  EXPECT_DOUBLE_EQ(ts.Max(), 0.0);
-  EXPECT_DOUBLE_EQ(ts.Percentile(0.99), 0.0);
-}
-
-TEST(TimeSeriesTest, PercentileInterpolates) {
-  TimeSeries ts;
-  for (int i = 1; i <= 100; ++i) {
-    ts.Record(i, static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(ts.Percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(ts.Percentile(1.0), 100.0);
-  EXPECT_NEAR(ts.Percentile(0.5), 50.5, 0.01);
-  EXPECT_NEAR(ts.Percentile(0.99), 99.01, 0.1);
-}
 
 // Golden percentile values under the NumPy-linear interpolation convention:
 // with 101 values 0..100, the q-quantile is exactly 100*q.
@@ -109,34 +75,6 @@ TEST(ScalarSummaryTest, EmptyIsSafe) {
   const auto s = ScalarSummary::Of({});
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(PeriodicSamplerTest, SamplesAtPeriod) {
-  Simulator sim;
-  double value = 0.0;
-  PeriodicSampler sampler(&sim, kMicrosecond, [&] { return value; });
-  sim.Schedule(2 * kMicrosecond + 1, [&] { value = 5.0; });
-  sim.Schedule(5 * kMicrosecond + 1, [&] { sampler.Stop(); });
-  sim.Run();
-  ASSERT_EQ(sampler.series().size(), 5u);
-  EXPECT_DOUBLE_EQ(sampler.series().samples()[0].value, 0.0);
-  EXPECT_DOUBLE_EQ(sampler.series().samples()[4].value, 5.0);
-}
-
-TEST(RateSamplerTest, ConvertsByteDeltasToGbps) {
-  Simulator sim;
-  uint64_t bytes = 0;
-  RateSampler sampler(&sim, kMicrosecond, [&] { return bytes; });
-  // 1250 bytes per 100 ns = 12'500 bytes/us = 100 Gbps.
-  PeriodicTimer feeder(&sim, [&] { bytes += 1'250; });
-  feeder.Start(kMicrosecond / 10);
-  sim.Schedule(3 * kMicrosecond + 1, [&] {
-    sampler.Stop();
-    feeder.Cancel();
-  });
-  sim.Run();
-  ASSERT_GE(sampler.series().size(), 3u);
-  EXPECT_NEAR(sampler.series().samples()[1].value, 100.0, 1.0);
 }
 
 TEST(TableTest, RendersAlignedColumns) {

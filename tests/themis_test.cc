@@ -182,16 +182,20 @@ class RecordingHost : public Node {
   std::vector<Packet> received;
 };
 
-// Two racks, N=2 spines, one host each; Themis-D installed on the dst ToR.
+// Two racks, N=2 spines, two hosts each; Themis-D installed on the dst ToR.
 struct ThemisDHarness {
+  // Ports 0..1 of the dst ToR face hosts 2..3; ports 2..3 face spines.
+  static constexpr int kSpinePort = 2;
+
   Simulator sim;
   Network net{&sim};
   std::vector<RecordingHost*> hosts;
   Topology topo;
   std::unique_ptr<ThemisD> hook;
   Switch* dst_tor = nullptr;
-  RecordingHost* sender = nullptr;    // host 0, rack 0
-  RecordingHost* receiver = nullptr;  // host 1, rack 1
+  RecordingHost* sender = nullptr;     // host 0, rack 0
+  RecordingHost* receiver = nullptr;   // host 2, rack 1, dst ToR port 0
+  RecordingHost* rack_peer = nullptr;  // host 3, rack 1, dst ToR port 1
 
   explicit ThemisDHarness(ThemisDConfig config = {.num_paths = 2,
                                                   .queue_capacity = 16,
@@ -200,16 +204,17 @@ struct ThemisDHarness {
     LeafSpineConfig topo_config;
     topo_config.num_tors = 2;
     topo_config.num_spines = 2;
-    topo_config.hosts_per_tor = 1;
+    topo_config.hosts_per_tor = 2;
     topo = BuildLeafSpine(net, topo_config, [this](Network& n, int, const std::string& name) {
       RecordingHost* host = n.MakeNode<RecordingHost>(name);
       hosts.push_back(host);
       return host;
     });
     sender = hosts[0];
-    receiver = hosts[1];
+    receiver = hosts[2];
+    rack_peer = hosts[3];
     dst_tor = topo.tors[1];
-    hook = std::make_unique<ThemisD>(config, nullptr);
+    hook = std::make_unique<ThemisD>(config);
     dst_tor->AddHook(hook.get());
   }
 
@@ -217,9 +222,8 @@ struct ThemisDHarness {
   void DataAtDstTor(uint32_t psn) { DataAtDstTorFlow(1, psn); }
 
   void DataAtDstTorFlow(uint32_t flow, uint32_t psn) {
-    // Port 0 of the ToR faces the host; ports 1..2 face spines.
-    dst_tor->ReceivePacket(
-        MakeDataPacket(flow, sender->id(), receiver->id(), psn, 1000, 0x42), /*in=*/1);
+    dst_tor->ReceivePacket(MakeDataPacket(flow, sender->id(), receiver->id(), psn, 1000, 0x42),
+                           kSpinePort);
   }
 
   // Injects a NACK as if emitted by the local receiver NIC.
@@ -243,6 +247,22 @@ struct ThemisDHarness {
     return count;
   }
 };
+
+TEST(ThemisDTest, TracksOnlyCrossRackData) {
+  // Section 4: ToR state is kept only for QPs between different racks. A
+  // same-rack packet passes untracked but still reaches its receiver.
+  ThemisDHarness h;
+  h.dst_tor->ReceivePacket(
+      MakeDataPacket(2, h.rack_peer->id(), h.receiver->id(), 0, 1000, 0x42), /*in=*/1);
+  h.sim.Run();
+  EXPECT_EQ(h.receiver->received.size(), 1u);
+  EXPECT_EQ(h.hook->stats().data_tracked, 0u);
+  EXPECT_EQ(h.hook->flow_count(), 0u);
+
+  h.DataAtDstTor(0);
+  EXPECT_EQ(h.hook->stats().data_tracked, 1u);
+  EXPECT_EQ(h.hook->flow_count(), 1u);
+}
 
 TEST(ThemisDTest, BlocksInvalidNack) {
   // Fig. 4b, left: arrivals 0, 1, 3 -> NACK(2) triggered by tPSN=3;
@@ -592,8 +612,8 @@ TEST(ThemisDGraceTest, DefersValidNackWhenPauseOverlapsSuspectWindow) {
   ThemisDHarness h(GraceConfig());
   EnablePfcAtDstTor(h);
   BlastSuspectPattern(h);
-  // The burst paused ingress port 1 (the spine uplink the data came in on).
-  const PauseIntervalLog* log = h.dst_tor->IngressPauseLog(1);
+  // The burst paused the spine uplink the data came in on.
+  const PauseIntervalLog* log = h.dst_tor->IngressPauseLog(ThemisDHarness::kSpinePort);
   ASSERT_NE(log, nullptr);
   EXPECT_TRUE(log->open());
   // The NACK arrives while the pause is still open: Eq. 3 says valid
@@ -665,7 +685,7 @@ TEST(ThemisDGraceTest, ReleasesNackAfterExpiryOnGenuineLoss) {
   // audited genuine, not spurious.
   Packet rtx = MakeDataPacket(1, h.sender->id(), h.receiver->id(), 4, 1000, 0x42);
   rtx.retransmission = true;
-  h.dst_tor->ReceivePacket(rtx, /*in=*/1);
+  h.dst_tor->ReceivePacket(rtx, ThemisDHarness::kSpinePort);
   EXPECT_EQ(h.hook->stats().nacks_forwarded_genuine, 1u);
   EXPECT_EQ(h.hook->stats().nacks_forwarded_spurious, 0u);
 }
@@ -680,7 +700,7 @@ TEST(ThemisDGraceTest, RtoRetransmissionCancelsDeferredNack) {
   h.sim.Schedule(200 * kNanosecond, [&h] {
     Packet rtx = MakeDataPacket(1, h.sender->id(), h.receiver->id(), 4, 1000, 0x42);
     rtx.retransmission = true;
-    h.dst_tor->ReceivePacket(rtx, /*in=*/1);
+    h.dst_tor->ReceivePacket(rtx, ThemisDHarness::kSpinePort);
   });
   EXPECT_EQ(h.SenderNacks(), 0u);
   EXPECT_EQ(h.hook->stats().grace_deferred, 1u);

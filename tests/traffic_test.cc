@@ -17,7 +17,7 @@
 #include "src/core/sweep_runner.h"
 #include "src/lb/policies.h"
 #include "src/net/network.h"
-#include "src/stats/time_series.h"
+#include "src/stats/summary.h"
 #include "src/telemetry/telemetry.h"
 #include "src/traffic/background_engine.h"
 #include "src/traffic/fluid_model.h"
@@ -363,7 +363,7 @@ TEST(OccupancyRecorderTest, HarvestsPerPortSeriesFromALiveRun) {
   options.record_period = 5 * kMicrosecond;
   PortPressureTrace trace;
   options.calibration = &trace;
-  const FctWorkloadResult result = RunFctWorkloadEx(config, workload, cdf, options);
+  const FctWorkloadResult result = RunFctWorkload(config, workload, cdf, options);
   ASSERT_EQ(result.flows_completed, result.flows_total);
 
   ASSERT_EQ(trace.num_ports(), 12u);
@@ -411,7 +411,7 @@ TEST(HybridFidelityTest, FluidAndTraceRunsTrackFullPacketLevelReference) {
   full_options.background.seed = 99;
   full_options.background.window = h.foreground.window;
   const FctWorkloadResult full =
-      RunFctWorkloadEx(h.exp, h.foreground, h.cdf, full_options);
+      RunFctWorkload(h.exp, h.foreground, h.cdf, full_options);
   ASSERT_GT(full.flows_total, 20u);
   ASSERT_EQ(full.flows_completed, full.flows_total);
   ASSERT_GT(full.background_total, 0u);
@@ -427,7 +427,7 @@ TEST(HybridFidelityTest, FluidAndTraceRunsTrackFullPacketLevelReference) {
     WorkloadSpec bg_only = h.foreground;
     bg_only.load = 0.3;
     bg_only.seed = 99;
-    RunFctWorkloadEx(h.exp, bg_only, h.cdf, calibrate);
+    RunFctWorkload(h.exp, bg_only, h.cdf, calibrate);
   }
   ASSERT_GT(trace.num_epochs(), 0u);
 
@@ -443,7 +443,7 @@ TEST(HybridFidelityTest, FluidAndTraceRunsTrackFullPacketLevelReference) {
   FctRunOptions replay_options;
   replay_options.replay = &trace;
   const FctWorkloadResult traced =
-      RunFctWorkloadEx(h.exp, h.foreground, h.cdf, replay_options);
+      RunFctWorkload(h.exp, h.foreground, h.cdf, replay_options);
   ASSERT_EQ(traced.flows_completed, traced.flows_total);
 
   // Identical foreground spec everywhere: flow-by-flow comparable.

@@ -319,11 +319,12 @@ TEST(FlowDriverTest, AccountsForEveryFlowCompletion) {
   workload.seed = 7;
   workload.max_flows = 20;
 
-  const FctWorkloadResult result = RunFctWorkload(config, workload, cdf, 20 * kMillisecond);
+  const FctWorkloadResult result =
+      RunFctWorkload(config, workload, cdf, {.deadline = 20 * kMillisecond});
   ASSERT_EQ(result.flows_total, 20u);
   EXPECT_EQ(result.flows_completed, 20u);
   EXPECT_EQ(result.slowdown.count, 20u);
-  EXPECT_EQ(result.slowdown_series.size(), 20u);
+  EXPECT_EQ(result.Slowdowns().size(), 20u);
   EXPECT_GT(result.goodput_gbps, 0.0);
   EXPECT_GT(result.makespan, 0);
 
@@ -354,8 +355,10 @@ TEST(FlowDriverTest, RunsAreBitIdenticalAcrossInvocations) {
   workload.seed = 13;
   workload.max_flows = 16;
 
-  const FctWorkloadResult a = RunFctWorkload(config, workload, cdf, 20 * kMillisecond);
-  const FctWorkloadResult b = RunFctWorkload(config, workload, cdf, 20 * kMillisecond);
+  const FctWorkloadResult a =
+      RunFctWorkload(config, workload, cdf, {.deadline = 20 * kMillisecond});
+  const FctWorkloadResult b =
+      RunFctWorkload(config, workload, cdf, {.deadline = 20 * kMillisecond});
   ASSERT_EQ(a.records.size(), b.records.size());
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_DOUBLE_EQ(a.slowdown.p99, b.slowdown.p99);
